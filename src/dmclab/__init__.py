@@ -17,7 +17,6 @@ trace is charged the sum over its accesses.  The package provides
 """
 
 from dmclab.core import (
-    Access,
     AnalysisConfig,
     DataObject,
     DmdReport,
@@ -38,7 +37,6 @@ from dmclab.engine import (
 )
 
 __all__ = [
-    "Access",
     "AnalysisConfig",
     "DataObject",
     "DmdReport",

@@ -2,9 +2,9 @@
 
 All routines are pure functions over `dmclab.models`.  Crossovers are
 solved on the real line (bisection, relative tolerance 1e-6, bracket
-doubling from 1) and reported together with their integer neighborhood,
-since thresholds quoted in practice are integers read off continuous
-curves.
+doubling from the smallest size the model accepts) and reported
+together with their integer neighborhood, since thresholds quoted in
+practice are integers read off continuous curves.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from dmclab.core import ValidationError
 from dmclab.models import (
-    SQRT2,
     model_batched,
     model_conv,
     model_fftconv_lower,
@@ -49,13 +48,6 @@ def advise_batch(n: int, k: int, c: int) -> AdvisorResult:
     return AdvisorResult(recommended=best, costs=costs)
 
 
-def _batched_cost(n: float, k: int, c: int, x: int) -> float:
-    # continuous-n version of model_batched for crossover solving
-    sx = math.sqrt(x)
-    conv = c * sx * (2 * SQRT2 * k**3 * n**2 + k**1.5 * n**2.5)
-    return conv + sx * (c / x - 1) * n**3
-
-
 def _bisect_root(f, lo: float, hi: float) -> float:
     flo = f(lo)
     for _ in range(BISECT_MAX_ITER):
@@ -80,7 +72,7 @@ def batched_fraction(n: float, k: int, c: int, x: int) -> float:
     """Batched cost as a fraction of the unbatched (x=1) cost at image
     size n.  1.0 at the break-even size; the complement is the relative
     decrease from batching."""
-    return _batched_cost(n, k, c, x) / _batched_cost(n, k, c, 1)
+    return model_batched(n, k, c, x).total / model_batched(n, k, c, 1).total
 
 
 def crossover_image_size(
@@ -94,14 +86,13 @@ def crossover_image_size(
     """
     if x <= 1:
         raise ValidationError("need a batch size x > 1 to compare against x = 1")
-    if c % x != 0:
-        raise ValidationError("x must divide c")
 
     def diff(n: float) -> float:
-        return _batched_cost(n, k, c, x) - _batched_cost(n, k, c, 1)
+        return model_batched(n, k, c, x).total - model_batched(n, k, c, 1).total
 
-    lo = 1.0
-    hi = 2.0
+    # the model needs n >= k
+    lo = float(k)
+    hi = 2.0 * k
     while diff(hi) > 0:
         lo, hi = hi, hi * 2
         if hi > 1e7:
@@ -149,16 +140,15 @@ def advise_gqa_dim(
     the l*d^3 multi-head term back in.  Also returns the asymptotic
     inversion d = (budget * q / h) ** (1/3).
     """
+    if not math.isfinite(budget):
+        raise ValidationError("budget must be finite")
     if budget <= 0:
         raise ValidationError("budget must be positive")
-    if h % q != 0:
-        raise ValidationError("group size must divide the head count")
 
     def cost(d: float) -> float:
-        p = h / q
-        d2 = d * d
-        total = p * (d2 + 2 * d2 / h) ** 1.5
-        total += 2 * p * (q - 1) * (d2 / h) * math.sqrt(l * l + 4 * d2 / h)
+        if d == 0:  # the bisection starts here; the model needs d > 0
+            return 0.0
+        total = model_gqa(l, d, h, q).total
         if include_matmul:
             total += l * d**3
         return total
@@ -243,51 +233,3 @@ def orientation_ratio(m: float, pixels: float | None = None, k: int | None = Non
         landscape_over_portrait=m**0.5,
         dominant_costs=costs,
     )
-
-
-# --- figure-style CSV rows ---------------------------------------------------
-
-
-def gqa_curve_rows(budget: float, heads: list[int], l: int = 64) -> list[dict]:
-    """Rows of affordable dimension against group size, one curve per
-    head count; group sizes run over the divisors of each head count."""
-    rows = []
-    for h in heads:
-        for q in _divisors(h):
-            res = advise_gqa_dim(budget, h, q, l=l)
-            rows.append(
-                {
-                    "h": h,
-                    "q": q,
-                    "l": l,
-                    "budget": budget,
-                    "d": res.d,
-                    "asymptotic_d": res.asymptotic_d,
-                }
-            )
-    return rows
-
-
-def batching_curve_rows(k: int, c: int, n_values: list[int], x_values: list[int]) -> list[dict]:
-    """Rows of batched totals across image sizes, one column set per x."""
-    rows = []
-    for n in n_values:
-        row = {"n": n, "k": k, "c": c}
-        for x in x_values:
-            row[f"total_x{x}"] = model_batched(n, k, c, x).total
-        rows.append(row)
-    return rows
-
-
-def channels_curve_rows(n: int, k: int, c_values: list[int]) -> list[dict]:
-    """Rows of single-batch versus unbatched totals across channel counts."""
-    return [
-        {
-            "c": c,
-            "n": n,
-            "k": k,
-            "total_batched": model_batched(n, k, c, c).total,
-            "total_unbatched": model_batched(n, k, c, 1).total,
-        }
-        for c in c_values
-    ]

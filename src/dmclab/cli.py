@@ -5,20 +5,18 @@ Subcommands: gen (write a trace), analyze (measure a trace), model
 advise (parameter recommendations).
 
 Exit codes: 0 success, 1 usage error, 2 validation or data error.
-Every command is deterministic given its flags.  The environment
-variable DMC_THREADS caps sweep parallelism.
+Every command is deterministic given its flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 
 from dmclab import advisor, models, tracegen
 from dmclab.core import (
@@ -52,8 +50,8 @@ def _build_parser() -> _Parser:
 
     p_gen = sub.add_parser("gen", help="generate a trace file")
     p_gen.add_argument("--alg", required=True, choices=tracegen.ALGORITHMS)
-    for flag in ("--m", "--n", "--l", "--k", "--c", "--x", "--h", "--w"):
-        p_gen.add_argument(flag, type=int)
+    for name in dict.fromkeys(n for k in tracegen.KERNELS.values() for n in k.param_names):
+        p_gen.add_argument(f"--{name}", type=int)
     p_gen.add_argument("--out", required=True, help="output .dmt path")
 
     p_an = sub.add_parser("analyze", help="measure the DMD of a trace")
@@ -67,9 +65,8 @@ def _build_parser() -> _Parser:
     p_mod = sub.add_parser("model", help="evaluate a closed-form cost model")
     p_mod.add_argument("name", nargs="?", help="model name (see --list)")
     p_mod.add_argument("--list", action="store_true", help="list available models")
-    for flag in ("--m", "--n", "--l", "--k", "--c", "--x", "--b", "--d",
-                 "--h", "--w", "--heads", "--q", "--layers", "--f"):
-        p_mod.add_argument(flag, type=int)
+    for name in dict.fromkeys(name for flags, _, _ in MODELS.values() for name in flags):
+        p_mod.add_argument(f"--{name}", type=int)
 
     p_sw = sub.add_parser("sweep", help="evaluate models and/or measurements over ranges")
     p_sw.add_argument("--alg", required=True,
@@ -78,7 +75,6 @@ def _build_parser() -> _Parser:
     p_sw.add_argument("--k", type=int)
     p_sw.add_argument("--c", type=int)
     p_sw.add_argument("--x", help="batch sizes, comma separated")
-    p_sw.add_argument("--m", type=int)
     p_sw.add_argument("--l", type=int, default=64)
     p_sw.add_argument("--q", help="group sizes: comma list or '1..h' for all divisors")
     p_sw.add_argument("--heads", "--h", dest="heads", help="head counts, comma separated")
@@ -108,37 +104,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _need(args, *names):
-    missing = [n for n in names if getattr(args, n, None) is None]
+def _need(args, *names) -> dict:
+    """Values of the named flags, all required; --n stands for --h and --w."""
+    values = {name: getattr(args, name, None) for name in names}
+    if "h" in values and args.n is not None:
+        values["h"] = values["w"] = args.n
+    missing = [name for name, value in values.items() if value is None]
     if missing:
         raise ValidationError("missing required flag(s): " + ", ".join(f"--{n}" for n in missing))
+    return values
 
 
 def _gen_spec(args) -> tracegen.GenSpec:
-    alg = args.alg
-    if alg == "matmul":
-        _need(args, "m", "n", "l")
-        params = tracegen.MatmulParams(args.m, args.n, args.l)
-    elif alg == "conv":
-        if args.n is not None:
-            h = w = args.n
-        else:
-            _need(args, "h", "w")
-            h, w = args.h, args.w
-        _need(args, "k")
-        params = tracegen.ConvParams(h, w, args.k)
-    elif alg == "im2col":
-        _need(args, "n", "k")
-        params = tracegen.Im2colParams(args.n, args.k)
-    elif alg == "batchconv":
-        _need(args, "n", "k", "c", "x")
-        params = tracegen.BatchParams(args.n, args.k, args.c, args.x)
-    else:  # fft, fftconv2d
-        _need(args, "n")
-        params = tracegen.FftParams(args.n)
-    spec = tracegen.GenSpec(alg, params)
-    spec.validate()
-    return spec
+    kernel = tracegen.KERNELS[args.alg]
+    values = _need(args, *kernel.param_names)
+    return tracegen.GenSpec(args.alg, kernel.params(*values.values()))
 
 
 def cmd_gen(args) -> int:
@@ -164,257 +144,190 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _model_eval(name: str, args) -> dict:
-    out = {"formula": name}
-    if name == "matmul":
-        _need(args, "m", "n", "l")
-        out["params"] = {"m": args.m, "n": args.n, "l": args.l}
-        out["total"] = models.model_matmul(args.m, args.n, args.l)
-    elif name == "conv":
-        if args.n is not None:
-            h = w = args.n
-        else:
-            _need(args, "h", "w")
-            h, w = args.h, args.w
-        _need(args, "k")
-        res = models.model_conv(h, w, args.k)
-        out["params"] = {"h": h, "w": w, "k": args.k}
-        out["terms"] = {
-            "kernel_term": res.kernel_term,
-            "row_term": res.row_term,
-            "col_term": res.col_term,
-            "asymptotic": res.asymptotic,
-        }
-        out["clamped"] = list(res.clamped)
-        out["total"] = res.total
-    elif name == "batchconv":
-        _need(args, "n", "k", "c", "x")
-        res = models.model_batched(args.n, args.k, args.c, args.x)
-        out["params"] = {"n": args.n, "k": args.k, "c": args.c, "x": args.x}
-        out["terms"] = {"conv_term": res.conv_term, "result_term": res.result_term}
-        out["total"] = res.total
-    elif name == "im2col":
-        _need(args, "n", "k")
-        res = models.model_im2col(args.n, args.k)
-        out["params"] = {"n": args.n, "k": args.k}
-        out["terms"] = {
-            "conv_like_terms": list(res.conv_like_terms),
-            "r_term": res.r_term,
-        }
-        out["total"] = res.total
-    elif name == "blockedconv":
-        _need(args, "n", "k", "b")
-        out["params"] = {"n": args.n, "k": args.k, "b": args.b}
-        out["total"] = models.model_blocked_conv(args.n, args.k, args.b)
-    elif name == "fftcomponents":
-        _need(args, "n")
-        res = models.model_fft_components(args.n)
-        out["params"] = {"n": args.n}
-        out["terms"] = {
+def _record(result) -> dict:
+    """A model's result as `terms`, `clamped` (if it has one) and `total`."""
+    if not is_dataclass(result):
+        return {"total": result}
+    terms = {f.name: getattr(result, f.name) for f in fields(result)}
+    total = terms.pop("total")
+    clamped = terms.pop("clamped", None)
+    out = {"terms": terms}
+    if clamped is not None:
+        out["clamped"] = list(clamped)
+    out["total"] = total
+    return out
+
+
+def _generic(model):
+    return lambda *values: _record(model(*values))
+
+
+def _fft_components(n: int) -> dict:
+    res = models.model_fft_components(n)
+    return {
+        "terms": {
             "level_sizes": list(res.level_sizes),
             "divide_sum": res.divide_sum,
             "conquer_sum": res.conquer_sum,
-            "distant_counts": {
-                str(i): res.distant_count(i) for i in range(min(args.n // 2, 16))
-            },
-        }
-        out["total"] = res.divide_sum + res.conquer_sum
-    elif name == "fftbounds":
-        _need(args, "n")
-        lower, upper = models.model_fft_bounds(args.n)
-        out["params"] = {"n": args.n}
-        out["terms"] = {"lower": lower, "upper": upper}
-        out["total"] = upper
-    elif name == "fftconv":
-        _need(args, "n")
-        out["params"] = {"n": args.n}
-        out["total"] = models.model_fftconv_lower(args.n)
-        out["note"] = advisor.FFT_BOUND_NOTE
-    elif name in ("attention", "mha"):
-        _need(args, "l", "d", "heads")
-        res = models.model_attention(args.l, args.d, args.heads)
-        out["params"] = {"l": args.l, "d": args.d, "heads": args.heads}
-        if name == "mha":
-            out["total"] = res.mha_cost
-        else:
-            out["terms"] = {"head_cost": res.head_cost, "mha_cost": res.mha_cost}
-            out["total"] = res.head_cost
-    elif name == "gqa":
-        _need(args, "l", "d", "heads", "q")
-        res = models.model_gqa(args.l, args.d, args.heads, args.q)
-        out["params"] = {"l": args.l, "d": args.d, "heads": args.heads, "q": args.q}
-        out["terms"] = {
-            "cold_term": res.cold_term,
-            "reuse_term": res.reuse_term,
-            "asymptotic": res.asymptotic,
-        }
-        out["total"] = res.total
-    elif name == "transformer":
-        _need(args, "layers", "l", "d", "f")
-        res = models.model_transformer(args.layers, args.l, args.d, args.f)
-        out["params"] = {"layers": args.layers, "l": args.l, "d": args.d, "f": args.f}
-        out["terms"] = dict(res.stages)
-        out["as_printed"] = list(res.as_printed)
-        out["total"] = res.forward_total
-    elif name == "cold":
-        _need(args, "m")
-        out["params"] = {"m": args.m}
-        out["total"] = models.model_cold(args.m)
-    else:
-        raise KeyError(name)
-    return out
+            "distant_counts": {str(i): res.distant_count(i) for i in range(min(n // 2, 16))},
+        },
+        "total": res.divide_sum + res.conquer_sum,
+    }
+
+
+def _fft_bounds(n: int) -> dict:
+    lower, upper = models.model_fft_bounds(n)
+    return {"terms": {"lower": lower, "upper": upper}, "total": upper}
+
+
+def _attention(l: int, d: int, heads: int) -> dict:
+    res = models.model_attention(l, d, heads)
+    return {"terms": {"head_cost": res.head_cost, "mha_cost": res.mha_cost},
+            "total": res.head_cost}
+
+
+def _transformer(layers: int, l: int, d: int, f: int) -> dict:
+    res = models.model_transformer(layers, l, d, f)
+    return {"terms": dict(res.stages), "as_printed": list(res.as_printed),
+            "total": res.forward_total}
+
+
+# name -> (flags, evaluation of the flag values, --list help)
+MODELS = {
+    "matmul": (("m", "n", "l"), _generic(models.model_matmul),
+               "m * (n l)^1.5 for an m*n by n*l product (flags: --m --n --l)"),
+    "conv": (("h", "w", "k"), _generic(models.model_conv),
+             "spatial convolution breakdown and asymptotic (flags: --n | --h --w, --k)"),
+    "batchconv": (("n", "k", "c", "x"), _generic(models.model_batched),
+                  "batched convolution total (flags: --n --k --c --x)"),
+    "im2col": (("n", "k"), _generic(models.model_im2col),
+               "im2col convolution total (flags: --n --k)"),
+    "blockedconv": (("n", "k", "b"), _generic(models.model_blocked_conv),
+                    "convolution in b-element cache blocks, idealised /sqrt(b); "
+                    "does not track analyze --block (flags: --n --k --b)"),
+    "fftcomponents": (("n",), _fft_components,
+                      "transform component sums and reuse counts (flags: --n)"),
+    "fftbounds": (("n",), _fft_bounds,
+                  "transform cost bounds 6.4..6.5 n^1.5 sqrt(log2 n) (flags: --n)"),
+    "fftconv": (("n",),
+                lambda n: {"total": models.model_fftconv_lower(n), "note": advisor.FFT_BOUND_NOTE},
+                "transform-based convolution lower bound (flags: --n)"),
+    "attention": (("l", "d", "heads"), _attention,
+                  "single-head and multi-head attention (flags: --l --d --heads)"),
+    "mha": (("l", "d", "heads"),
+            lambda *values: {"total": models.model_attention(*values).mha_cost},
+            "multi-head attention cost l d^3 (flags: --l --d --heads)"),
+    "gqa": (("l", "d", "heads", "q"), _generic(models.model_gqa),
+            "grouped-query attention breakdown (flags: --l --d --heads --q)"),
+    "transformer": (("layers", "l", "d", "f"), _transformer,
+                    "decoder stage table and forward total (flags: --layers --l --d --f)"),
+    "cold": (("m",), _generic(models.model_cold), "cold-miss bound m^1.5 (flags: --m)"),
+}
 
 
 def cmd_model(args) -> int:
     if args.list or args.name is None:
-        for name, desc in sorted(models.MODEL_REGISTRY.items()):
+        for name, (_, _, desc) in sorted(MODELS.items()):
             print(f"{name:15s} {desc}")
         return EXIT_OK if args.list else EXIT_USAGE
-    try:
-        out = _model_eval(args.name, args)
-    except KeyError:
+    if args.name not in MODELS:
         print(f"unknown model {args.name!r}; available:", file=sys.stderr)
-        for name in sorted(models.MODEL_REGISTRY):
+        for name in sorted(MODELS):
             print(f"  {name}", file=sys.stderr)
         return EXIT_USAGE
+    flags, evaluate, _ = MODELS[args.name]
+    params = _need(args, *flags)
+    out = {"formula": args.name, "params": params, **evaluate(*params.values())}
     print(json.dumps(out, indent=2))
     return EXIT_OK
 
 
 def _parse_range(text: str) -> list[int]:
-    """'a,b,c' list; 'a..b' doubling from a through b; 'a..b:s' step s."""
-    if "," in text:
-        return [int(v) for v in text.split(",")]
-    if ".." in text:
+    """'a,b,c' list; 'a..b' doubling from a >= 1 through b; 'a..b:s' step s != 0."""
+    try:
+        if "," in text:
+            return [int(v) for v in text.split(",")]
+        if ".." not in text:
+            return [int(text)]
         span, _, step = text.partition(":")
         lo_s, _, hi_s = span.partition("..")
         lo, hi = int(lo_s), int(hi_s)
         if step:
             return list(range(lo, hi + 1, int(step)))
-        vals = []
-        v = lo
-        while v <= hi:
-            vals.append(v)
-            v *= 2
-        return vals
-    return [int(text)]
+    except ValueError:
+        raise ValidationError(
+            f"bad range {text!r}: expected 'a,b,c', 'a..b' or 'a..b:step' with integers "
+            "and a non-zero step"
+        ) from None
+    if lo < 1:
+        raise ValidationError(f"bad range {text!r}: a doubling range must start at >= 1")
+    vals = []
+    v = lo
+    while v <= hi:
+        vals.append(v)
+        v *= 2
+    return vals
+
+
+def _gqa_rows(args) -> tuple[list[dict], list[str]]:
+    _need(args, "budget", "heads")
+    rows = []
+    for h in _parse_range(args.heads):
+        group_sizes = range(1, h + 1) if args.q in (None, "1..h") else _parse_range(args.q)
+        for q in [x for x in group_sizes if x > 0 and h % x == 0]:
+            res = advisor.advise_gqa_dim(args.budget, h, q, l=args.l)
+            rows.append(
+                {"h": h, "q": q, "l": args.l, "budget": args.budget,
+                 "d": res.d, "asymptotic_d": res.asymptotic_d}
+            )
+    return rows, ["h", "q", "l", "budget", "d", "asymptotic_d"]
 
 
 def _sweep_points(args) -> tuple[list[dict], list[str]]:
-    alg = args.alg
-    if alg == "gqa":
-        _need(args, "budget", "heads")
-        heads = _parse_range(args.heads)
-        rows = []
-        for h in heads:
-            if args.q in (None, "1..h"):
-                qs = [x for x in range(1, h + 1) if h % x == 0]
-            else:
-                qs = [x for x in _parse_range(args.q) if h % x == 0]
-            for q in qs:
-                res = advisor.advise_gqa_dim(args.budget, h, q, l=args.l)
-                rows.append(
-                    {"h": h, "q": q, "l": args.l, "budget": args.budget,
-                     "d": res.d, "asymptotic_d": res.asymptotic_d}
-                )
-        return rows, ["h", "q", "l", "budget", "d", "asymptotic_d"]
-
-    _need(args, "n")
-    n_values = _parse_range(args.n)
-    points = []
-    if alg == "matmul":
-        for n in n_values:
-            points.append({"params": {"n": n},
-                           "spec": tracegen.GenSpec(alg, tracegen.MatmulParams(n, n, n)),
-                           "model": {"model_total": models.model_matmul(n, n, n)}})
-        header = ["n"]
-    elif alg == "conv":
-        _need(args, "k")
-        for n in n_values:
-            res = models.model_conv(n, n, args.k)
-            points.append({"params": {"n": n, "k": args.k},
-                           "spec": tracegen.GenSpec(alg, tracegen.ConvParams(n, n, args.k)),
-                           "model": {"model_total": res.total,
-                                     "model_asymptotic": res.asymptotic}})
-        header = ["n", "k"]
-    elif alg == "im2col":
-        _need(args, "k")
-        for n in n_values:
-            points.append({"params": {"n": n, "k": args.k},
-                           "spec": tracegen.GenSpec(alg, tracegen.Im2colParams(n, args.k)),
-                           "model": {"model_total": models.model_im2col(n, args.k).total}})
-        header = ["n", "k"]
-    elif alg == "batchconv":
-        _need(args, "k", "c", "x")
-        x_values = _parse_range(args.x)
-        for n in n_values:
-            for x in x_values:
-                points.append(
-                    {"params": {"n": n, "k": args.k, "c": args.c, "x": x},
-                     "spec": tracegen.GenSpec(
-                         alg, tracegen.BatchParams(n, args.k, args.c, x)),
-                     "model": {"model_total": models.model_batched(n, args.k, args.c, x).total}})
-        header = ["n", "k", "c", "x"]
-    elif alg == "fft":
-        for n in n_values:
-            lower, upper = models.model_fft_bounds(n)
-            points.append({"params": {"n": n},
-                           "spec": tracegen.GenSpec(alg, tracegen.FftParams(n)),
-                           "model": {"model_lower": lower, "model_upper": upper,
-                                     "model_total": lower}})
-        header = ["n"]
-    else:  # fftconv2d
-        for n in n_values:
-            points.append({"params": {"n": n},
-                           "spec": tracegen.GenSpec(alg, tracegen.FftParams(n)),
-                           "model": {"model_total": models.model_fftconv_lower(n)}})
-        header = ["n"]
-
-    model_cols = sorted({col for p in points for col in p["model"]})
+    if args.alg == "gqa":
+        return _gqa_rows(args)
+    kernel = tracegen.KERNELS[args.alg]
+    n_values = _parse_range(_need(args, "n")["n"])
+    flags = _need(args, *kernel.sweep_flags)
+    # a flag given as a string is a range swept with n
+    ranges = [_parse_range(v) if isinstance(v, str) else [v] for v in flags.values()]
+    header = ["n", *flags]
+    rows, specs = [], []
+    for n in n_values:
+        for values in itertools.product(*ranges):
+            params = kernel.square(n, *values)
+            rows.append({"n": n, **dict(zip(flags, values)), **kernel.model(params)})
+            specs.append(tracegen.GenSpec(args.alg, params))
     columns = list(header)
-    rows = []
     if args.mode in ("model", "both"):
-        columns += model_cols
+        columns += sorted({col for row in rows for col in row} - set(header))
     if args.mode in ("measure", "both"):
         columns += ["measured"]
     if args.mode == "both":
         columns += ["ratio"]
 
     if args.mode in ("measure", "both"):
-        for p in points:
-            count = tracegen.access_count(p["spec"])
+        for row, spec in zip(rows, specs):
+            count = tracegen.access_count(spec)
             if count > SWEEP_ACCESS_BUDGET and not args.force:
+                point = {col: row[col] for col in header}
                 raise ValidationError(
-                    f"sweep point {p['params']} needs {count} accesses "
+                    f"sweep point {point} needs {count} accesses "
                     f"(> {SWEEP_ACCESS_BUDGET}); pass --force to run it"
                 )
-        workers = int(os.environ.get("DMC_THREADS", os.cpu_count() or 1))
-
-        def measure(p):
-            trace = tracegen.generate(p["spec"])
-            return analyze_trace(trace, AnalysisConfig()).reuse_dmd
-
-        with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-            measured = list(pool.map(measure, points))
-        for p, value in zip(points, measured):
-            p["measured"] = value
-
-    for p in points:
-        row = dict(p["params"])
-        if args.mode in ("model", "both"):
-            row.update(p["model"])
-        if args.mode in ("measure", "both"):
-            row["measured"] = p["measured"]
-        if args.mode == "both":
-            row["ratio"] = p["measured"] / p["model"]["model_total"]
-        rows.append(row)
+        for row, spec in zip(rows, specs):
+            trace = tracegen.generate(spec)
+            row["measured"] = analyze_trace(trace, AnalysisConfig()).reuse_dmd
+            total = row["model_total"]
+            row["ratio"] = row["measured"] / total if total else math.nan
     return rows, columns
 
 
 def cmd_sweep(args) -> int:
     rows, columns = _sweep_points(args)
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        # rows carry every column; the mode's columns are written
+        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {args.out}: {len(rows)} rows")
@@ -432,7 +345,7 @@ def cmd_advise(args) -> int:
         _need(args, "n", "k")
         c_star = advisor.crossover_channels(args.n, args.k)
         out = {"kind": kind, "crossover_c": c_star,
-               "cost_below": advisor.model_batched(args.n, args.k, c_star - 1, c_star - 1).total
+               "cost_below": models.model_batched(args.n, args.k, c_star - 1, c_star - 1).total
                if c_star > 2 else None,
                "note": f"single-batch processing beats unbatched below c={c_star}"}
     elif kind == "gqa-dim":

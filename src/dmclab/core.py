@@ -51,19 +51,11 @@ class DataObject:
             raise ValidationError(f"object {self.name!r}: size must be >= 1, got {self.size}")
 
 
-@dataclass(frozen=True)
-class Access:
-    """One access to element `offset` of object `object_id`."""
-
-    object_id: int
-    offset: int
-
-
 class Trace:
     """An object table plus an ordered, immutable sequence of accesses.
 
     Accesses are stored as plain ``(object_id, offset)`` tuples for
-    compactness; `Access` is the record type for single-access APIs.
+    compactness.
     """
 
     __slots__ = ("objects", "accesses", "_by_id")
@@ -95,9 +87,6 @@ class Trace:
                 raise ValidationError(
                     f"access {i}: offset {off} out of range for object {oid} (size {size})"
                 )
-
-    def object(self, object_id: int) -> DataObject:
-        return self._by_id[object_id]
 
     def touched_objects(self) -> list[DataObject]:
         """Objects that appear in at least one access, in id order."""
@@ -166,7 +155,6 @@ class DmdReport:
     cold_dmd: float
     n_accesses: int
     n_cold: int
-    n_distinct: int
     histogram: Mapping[int, int] = field(default_factory=dict)
 
     @property
@@ -175,8 +163,6 @@ class DmdReport:
 
     def check(self, rel_tol: float = 1e-9) -> None:
         """Raise if the report is self-inconsistent."""
-        if self.n_cold != self.n_distinct:
-            raise ValidationError("n_cold must equal n_distinct")
         if self.n_accesses != self.n_cold + sum(self.histogram.values()):
             raise ValidationError("n_accesses must equal n_cold + histogram total")
         expected = math.fsum(c * math.sqrt(d) for d, c in self.histogram.items())
@@ -189,7 +175,8 @@ class DmdReport:
             "cold_dmd": self.cold_dmd,
             "n_accesses": self.n_accesses,
             "n_cold": self.n_cold,
-            "n_distinct": self.n_distinct,
+            # every cold access is the first touch of one distinct datum
+            "n_distinct": self.n_cold,
             "histogram": {str(d): c for d, c in sorted(self.histogram.items())},
         }
 

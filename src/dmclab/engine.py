@@ -137,7 +137,6 @@ def accumulate_dmd(
         cold_dmd=cold_dmd,
         n_accesses=len(distances),
         n_cold=n_cold,
-        n_distinct=n_cold,
         histogram=dict(histogram),
     )
 

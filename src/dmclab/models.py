@@ -106,7 +106,9 @@ class BatchedConvResult:
 
 def model_batched(n: int, k: int, c: int, x: int) -> BatchedConvResult:
     """Convolution over c channels processed x at a time:
-    c sqrt(x) (2 sqrt(2) k^3 n^2 + k^1.5 n^2.5) + sqrt(x) (c/x - 1) n^3."""
+    c sqrt(x) (2 sqrt(2) k^3 n^2 + k^1.5 n^2.5) + sqrt(x) (c/x - 1) n^3.
+
+    n may be real-valued, so the advisor can bisect on it."""
     if min(n, k, c, x) < 1 or k > n:
         raise ValidationError("need 1 <= k <= n and positive c, x")
     if c % x != 0:
@@ -209,11 +211,12 @@ def model_fft_components(n: int, overhead_multiplier: float = 1.0) -> FftCompone
     """Evaluate the transform's component formulas for input size n."""
     _require_pow2(n)
     logn = n.bit_length() - 1
+    component_sum = _component_sum(n, overhead_multiplier)
     return FftComponents(
         n=n,
         level_sizes=tuple(fft_level_data_size(level) for level in range(logn + 1)),
-        divide_sum=_component_sum(n, overhead_multiplier),
-        conquer_sum=_component_sum(n, overhead_multiplier),
+        divide_sum=component_sum,
+        conquer_sum=component_sum,
         distant_count=lambda index: fft_distant_reuses(n, index),
     )
 
@@ -275,8 +278,10 @@ class GqaResult:
 
 def model_gqa(l: int, d: int, h: int, q: int) -> GqaResult:
     """Grouped-query attention with h heads in groups of q:
-    p (d^2 + 2 d^2/h)^1.5 + 2 p (q-1) (d^2/h) sqrt(l^2 + 4 d^2/h)."""
-    if min(l, d, h, q) < 1:
+    p (d^2 + 2 d^2/h)^1.5 + 2 p (q-1) (d^2/h) sqrt(l^2 + 4 d^2/h).
+
+    d may be real-valued, so the advisor can bisect on it."""
+    if min(l, h, q) < 1 or d <= 0:
         raise ValidationError("GQA parameters must be >= 1")
     if h % q != 0:
         raise ValidationError("group size must divide the head count")
@@ -314,25 +319,3 @@ def model_transformer(n_layers: int, l: int, d: int, f: int) -> TransformerResul
         "softmax": 2 * l**2.5,
     }
     return TransformerResult(stages=stages, forward_total=n_layers * 2 * l * d**3)
-
-
-# --- registry for the CLI ---------------------------------------------------
-
-MODEL_REGISTRY = {
-    "matmul": "m * (n l)^1.5 for an m*n by n*l product (flags: --m --n --l)",
-    "conv": "spatial convolution breakdown and asymptotic (flags: --n | --h --w, --k)",
-    "batchconv": "batched convolution total (flags: --n --k --c --x)",
-    "im2col": "im2col convolution total (flags: --n --k)",
-    "blockedconv": (
-        "convolution in b-element cache blocks, idealised /sqrt(b); "
-        "does not track analyze --block (flags: --n --k --b)"
-    ),
-    "fftcomponents": "transform component sums and reuse counts (flags: --n)",
-    "fftbounds": "transform cost bounds 6.4..6.5 n^1.5 sqrt(log2 n) (flags: --n)",
-    "fftconv": "transform-based convolution lower bound (flags: --n)",
-    "attention": "single-head and multi-head attention (flags: --l --d --heads)",
-    "mha": "multi-head attention cost l d^3 (flags: --l --d --heads)",
-    "gqa": "grouped-query attention breakdown (flags: --l --d --heads --q)",
-    "transformer": "decoder stage table and forward total (flags: --layers --l --d --f)",
-    "cold": "cold-miss bound m^1.5 (flags: --m)",
-}

@@ -10,12 +10,11 @@ layout used by the block transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import astuple, dataclass, fields
+from typing import Callable, Optional, Sequence
 
+from dmclab import models
 from dmclab.core import DataObject, Trace, ValidationError
-
-ALGORITHMS = ("matmul", "conv", "im2col", "batchconv", "fft", "fftconv2d")
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,34 @@ class GenSpec:
     params: object
 
     def validate(self):
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in KERNELS:
             raise ValidationError(f"unknown algorithm {self.algorithm!r}")
         self.params.validate()
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """Everything dmclab knows about one traced algorithm.
+
+    params: parameter record; its fields, in order, are the generator's
+      arguments and the flags `dmclab gen` reads.
+    generator, count: the trace and its exact length, from those fields.
+    sweep_flags: flags a sweep point takes besides the swept size n;
+      a flag given as a string (batchconv's --x) is swept as a range too.
+    square: (n, *sweep flag values) -> params of the square sweep point.
+    model: params -> the sweep's model columns, including model_total.
+    """
+
+    params: type
+    generator: Callable[..., Trace]
+    count: Callable[..., int]
+    sweep_flags: tuple[str, ...]
+    square: Callable[..., object]
+    model: Callable[[object], dict]
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(self.params))
 
 
 class _TraceBuilder:
@@ -111,40 +135,15 @@ class _TraceBuilder:
 
 
 def generate(spec: GenSpec) -> Trace:
-    """Dispatch a GenSpec to its generator."""
+    """Dispatch a GenSpec to its kernel's generator."""
     spec.validate()
-    p = spec.params
-    if spec.algorithm == "matmul":
-        return gen_matmul(p.m, p.n, p.l)
-    if spec.algorithm == "conv":
-        return gen_conv(p.h, p.w, p.k)
-    if spec.algorithm == "im2col":
-        return gen_im2col(p.n, p.k)
-    if spec.algorithm == "batchconv":
-        return gen_batched_conv(p.n, p.k, p.c, p.x)
-    if spec.algorithm == "fft":
-        return gen_fft(p.n)
-    return gen_fft_conv2d(p.n)
+    return KERNELS[spec.algorithm].generator(*astuple(spec.params))
 
 
 def access_count(spec: GenSpec) -> int:
     """Exact trace length for a GenSpec, without generating it."""
     spec.validate()
-    p = spec.params
-    if spec.algorithm == "matmul":
-        return 2 * p.m * p.n * p.l + p.m * p.l
-    if spec.algorithm == "conv":
-        return (p.h - p.k + 1) * (p.w - p.k + 1) * (2 * p.k**2 + 1)
-    if spec.algorithm == "im2col":
-        nw = (p.n - p.k + 1) ** 2
-        return nw * 2 * p.k**2 + nw * (2 * p.k**2 + 1)
-    if spec.algorithm == "batchconv":
-        return (p.n - p.k + 1) ** 2 * p.c * (2 * p.k**2 + 1)
-    if spec.algorithm == "fft":
-        return _fft_access_count(p.n)
-    n = p.n
-    per_2d = 2 * n * _fft_access_count(n)
-    return 3 * per_2d + 3 * n * n
+    return KERNELS[spec.algorithm].count(*astuple(spec.params))
 
 
 def _fft_access_count(n: int) -> int:
@@ -362,3 +361,59 @@ def gen_fft_conv2d(n: int) -> Trace:
             b.access(prod, r * n + c)
     transform2d(obj_grid(prod), "P")
     return b.build()
+
+
+# --- kernel registry --------------------------------------------------------
+
+
+def _im2col_count(n: int, k: int) -> int:
+    nw = (n - k + 1) ** 2
+    return nw * 2 * k**2 + nw * (2 * k**2 + 1)
+
+
+def _fftconv2d_count(n: int) -> int:
+    per_2d = 2 * n * _fft_access_count(n)
+    return 3 * per_2d + 3 * n * n
+
+
+def _conv_columns(p: ConvParams) -> dict:
+    res = models.model_conv(p.h, p.w, p.k)
+    return {"model_total": res.total, "model_asymptotic": res.asymptotic}
+
+
+def _fft_columns(p: FftParams) -> dict:
+    lower, upper = models.model_fft_bounds(p.n)
+    return {"model_lower": lower, "model_upper": upper, "model_total": lower}
+
+
+KERNELS = {
+    "matmul": Kernel(
+        MatmulParams, gen_matmul,
+        lambda m, n, l: 2 * m * n * l + m * l,
+        (), lambda n: MatmulParams(n, n, n),
+        lambda p: {"model_total": models.model_matmul(p.m, p.n, p.l)}),
+    "conv": Kernel(
+        ConvParams, gen_conv,
+        lambda h, w, k: (h - k + 1) * (w - k + 1) * (2 * k**2 + 1),
+        ("k",), lambda n, k: ConvParams(n, n, k),
+        _conv_columns),
+    "im2col": Kernel(
+        Im2colParams, gen_im2col, _im2col_count,
+        ("k",), Im2colParams,
+        lambda p: {"model_total": models.model_im2col(p.n, p.k).total}),
+    "batchconv": Kernel(
+        BatchParams, gen_batched_conv,
+        lambda n, k, c, x: (n - k + 1) ** 2 * c * (2 * k**2 + 1),
+        ("k", "c", "x"), BatchParams,
+        lambda p: {"model_total": models.model_batched(p.n, p.k, p.c, p.x).total}),
+    "fft": Kernel(
+        FftParams, gen_fft, _fft_access_count,
+        (), FftParams,
+        _fft_columns),
+    "fftconv2d": Kernel(
+        FftParams, gen_fft_conv2d, _fftconv2d_count,
+        (), FftParams,
+        lambda p: {"model_total": models.model_fftconv_lower(p.n)}),
+}
+
+ALGORITHMS = tuple(KERNELS)

@@ -8,12 +8,9 @@ from dmclab.advisor import (
     advise_batch,
     advise_gqa_dim,
     batched_fraction,
-    batching_curve_rows,
-    channels_curve_rows,
     compare_conv_fft,
     crossover_channels,
     crossover_image_size,
-    gqa_curve_rows,
     orientation_ratio,
 )
 from dmclab.core import ValidationError
@@ -84,6 +81,14 @@ def test_gqa_dim_validation():
         advise_gqa_dim(-1, 8, 2)
     with pytest.raises(ValidationError):
         advise_gqa_dim(1e5, 8, 3)
+    with pytest.raises(ValidationError):
+        advise_gqa_dim(1e5, 8, 0)
+
+
+@pytest.mark.parametrize("budget", [math.inf, math.nan])
+def test_gqa_dim_rejects_non_finite_budget(budget):
+    with pytest.raises(ValidationError):
+        advise_gqa_dim(budget, 8, 2)
 
 
 def test_compare_conv_fft_prefers_spatial_for_small_kernels():
@@ -114,15 +119,3 @@ def test_orientation_dominant_costs_order():
     assert costs["portrait"] < costs["square"] < costs["landscape"]
     assert costs["square"] / costs["portrait"] == pytest.approx(2**0.25)
     assert costs["landscape"] / costs["portrait"] == pytest.approx(2**0.5)
-
-
-def test_curve_row_builders():
-    gqa_rows = gqa_curve_rows(1e5, [8])
-    assert [r["q"] for r in gqa_rows] == [1, 2, 4, 8]
-
-    batch_rows = batching_curve_rows(3, 10, [100, 200], [1, 10])
-    assert set(batch_rows[0]) == {"n", "k", "c", "total_x1", "total_x10"}
-
-    ch_rows = channels_curve_rows(1024, 3, [10, 30])
-    assert ch_rows[0]["total_batched"] < ch_rows[0]["total_unbatched"]
-    assert ch_rows[1]["total_batched"] > ch_rows[1]["total_unbatched"]

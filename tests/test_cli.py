@@ -131,6 +131,50 @@ def test_sweep_both_mode_has_ratio(tmp_path, capsys):
         assert float(row["ratio"]) == pytest.approx(ratio)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--alg", "fft", "--n", "1"],
+    ["--alg", "fftconv2d", "--n", "1"],
+    ["--alg", "conv", "--n", "3", "--k", "3"],
+])
+def test_sweep_both_zero_model_ratio_is_nan(tmp_path, capsys, flags):
+    out_path = tmp_path / "s.csv"
+    code, _, _ = run(capsys, "sweep", *flags, "--both", "--out", str(out_path))
+    assert code == 0
+    (row,) = csv.DictReader(out_path.open())
+    assert float(row["model_total"]) == 0.0
+    assert float(row["measured"]) >= 0.0
+    assert row["ratio"] == "nan"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--alg", "fft", "--n", "abc"],
+    ["--alg", "fft", "--n", "2..8:0"],
+    ["--alg", "fft", "--n", "0..8"],
+    ["--alg", "fft", "--n=-2..8"],
+    ["--alg", "fft", "--n", "2..x"],
+    ["--alg", "batchconv", "--n", "8", "--k", "3", "--c", "4", "--x", "1,x"],
+    ["--alg", "gqa", "--heads", "8,y", "--budget", "1e5"],
+])
+def test_sweep_malformed_range_exit_two(tmp_path, capsys, flags):
+    code, _, err = run(capsys, "sweep", *flags, "--out", str(tmp_path / "s.csv"))
+    assert code == 2
+    assert "bad range" in err
+
+
+@pytest.mark.parametrize("budget", ["inf", "nan"])
+def test_gqa_non_finite_budget_exit_two(tmp_path, capsys, budget):
+    code, out, err = run(capsys, "advise", "gqa-dim", "--budget", budget,
+                         "--heads", "8", "--q", "2")
+    assert (code, out) == (2, "")
+    assert "budget must be finite" in err
+    out_path = tmp_path / "g.csv"
+    code, _, err = run(capsys, "sweep", "--alg", "gqa", "--heads", "8", "--budget", budget,
+                       "--out", str(out_path))
+    assert code == 2
+    assert "budget must be finite" in err
+    assert not out_path.exists()
+
+
 def test_sweep_budget_guard(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", "--alg", "conv", "--n", "1024", "--k", "3",
                        "--measure", "--out", str(tmp_path / "s.csv"))
@@ -138,8 +182,7 @@ def test_sweep_budget_guard(tmp_path, capsys):
     assert "--force" in err
 
 
-def test_sweep_respects_thread_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DMC_THREADS", "1")
+def test_sweep_measure_mode(tmp_path, capsys):
     out_path = tmp_path / "s.csv"
     code, _, _ = run(capsys, "sweep", "--alg", "fft", "--n", "16,32", "--measure",
                      "--out", str(out_path))
@@ -156,6 +199,12 @@ def test_sweep_gqa(tmp_path, capsys):
     assert [int(r["q"]) for r in rows] == [1, 2, 4, 8]
     dims = [float(r["d"]) for r in rows]
     assert dims == sorted(dims)
+
+    # group sizes that do not divide the head count, 0 included, are skipped
+    code, _, _ = run(capsys, "sweep", "--alg", "gqa", "--heads", "8", "--q", "0,2,3",
+                     "--budget", "1e5", "--out", str(out_path))
+    assert code == 0
+    assert [int(r["q"]) for r in csv.DictReader(out_path.open())] == [2]
 
 
 def test_advise_batch(capsys):

@@ -74,7 +74,7 @@ def test_build_layout_block_one_is_contiguous():
 
 def test_scale_granularity_exact():
     report = DmdReport(
-        reuse_dmd=10.0, cold_dmd=4.0, n_accesses=7, n_cold=3, n_distinct=3,
+        reuse_dmd=10.0, cold_dmd=4.0, n_accesses=7, n_cold=3,
         histogram={1: 2, 4: 2},
     )
     for bits in (2, 4, 16):
@@ -87,13 +87,13 @@ def test_scale_granularity_exact():
 
 def test_report_check_catches_inconsistency():
     bad = DmdReport(
-        reuse_dmd=99.0, cold_dmd=0.0, n_accesses=4, n_cold=2, n_distinct=2,
+        reuse_dmd=99.0, cold_dmd=0.0, n_accesses=4, n_cold=2,
         histogram={4: 2},
     )
     with pytest.raises(ValidationError):
         bad.check()
     good = DmdReport(
-        reuse_dmd=4.0, cold_dmd=0.0, n_accesses=4, n_cold=2, n_distinct=2,
+        reuse_dmd=4.0, cold_dmd=0.0, n_accesses=4, n_cold=2,
         histogram={4: 2},
     )
     good.check()
