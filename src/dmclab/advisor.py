@@ -22,6 +22,7 @@ from dmclab.models import (
 
 BISECT_REL_TOL = 1e-6
 BISECT_MAX_ITER = 200
+CHANNELS_SEARCH_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,6 @@ class AdvisorResult:
 
     recommended: object
     costs: dict = field(default_factory=dict)
-    crossovers: dict = field(default_factory=dict)
     notes: tuple[str, ...] = ()
 
 
@@ -43,6 +43,8 @@ def advise_batch(n: int, k: int, c: int) -> AdvisorResult:
     convolution cost; returns the full candidate table."""
     if k > n:
         raise ValidationError("need k <= n")
+    if c < 1:
+        raise ValidationError("need c >= 1")
     costs = {x: model_batched(n, k, c, x).total for x in _divisors(c)}
     best = min(costs, key=costs.get)
     return AdvisorResult(recommended=best, costs=costs)
@@ -65,7 +67,6 @@ def _bisect_root(f, lo: float, hi: float) -> float:
 class ImageSizeCrossover:
     n_star: float
     bracket: tuple[int, int]
-    batched_fraction_at: dict[float, float] = field(default_factory=dict)
 
 
 def batched_fraction(n: float, k: int, c: int, x: int) -> float:
@@ -75,9 +76,7 @@ def batched_fraction(n: float, k: int, c: int, x: int) -> float:
     return model_batched(n, k, c, x).total / model_batched(n, k, c, 1).total
 
 
-def crossover_image_size(
-    k: int, c: int, x: int, reference_sizes: tuple[float, ...] = ()
-) -> ImageSizeCrossover:
+def crossover_image_size(k: int, c: int, x: int) -> ImageSizeCrossover:
     """Break-even image size between batch size x and no batching.
 
     Below n* batching costs more (the sqrt(x) reuse inflation
@@ -100,22 +99,18 @@ def crossover_image_size(
     if diff(lo) <= 0:
         raise ValidationError("batching already wins at the smallest image size")
     n_star = _bisect_root(diff, lo, hi)
-    return ImageSizeCrossover(
-        n_star=n_star,
-        bracket=(math.floor(n_star), math.ceil(n_star)),
-        batched_fraction_at={n: batched_fraction(n, k, c, x) for n in reference_sizes},
-    )
+    return ImageSizeCrossover(n_star, (math.floor(n_star), math.ceil(n_star)))
 
 
-def crossover_channels(n: int, k: int, c_max: int = 10**6) -> int:
+def crossover_channels(n: int, k: int) -> int:
     """Smallest channel count c at which one single batch (x = c) stops
     beating unbatched processing."""
     if k > n:
         raise ValidationError("need k <= n")
-    for c in range(2, c_max + 1):
+    for c in range(2, CHANNELS_SEARCH_MAX + 1):
         if model_batched(n, k, c, c).total >= model_batched(n, k, c, 1).total:
             return c
-    raise ValidationError(f"single-batch processing still wins at c = {c_max}")
+    raise ValidationError(f"single-batch processing still wins at c = {CHANNELS_SEARCH_MAX}")
 
 
 @dataclass(frozen=True)
@@ -218,6 +213,10 @@ def orientation_ratio(m: float, pixels: float | None = None, k: int | None = Non
     """
     if m <= 0:
         raise ValidationError("aspect ratio must be positive")
+    if pixels is not None and pixels <= 0:
+        raise ValidationError("pixel count must be positive")
+    if k is not None and k < 1:
+        raise ValidationError("kernel size must be >= 1")
     costs = {}
     if pixels is not None and k is not None:
         def dominant(hh: float, ww: float) -> float:

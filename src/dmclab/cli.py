@@ -243,7 +243,7 @@ def cmd_model(args) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    """'a,b,c' list; 'a..b' doubling from a >= 1 through b; 'a..b:s' step s != 0."""
+    """'a,b,c' list; 'a..b' doubling from a >= 1 through b; 'a..b:s' positive step s."""
     try:
         if "," in text:
             return [int(v) for v in text.split(",")]
@@ -253,11 +253,14 @@ def _parse_range(text: str) -> list[int]:
         lo_s, _, hi_s = span.partition("..")
         lo, hi = int(lo_s), int(hi_s)
         if step:
-            return list(range(lo, hi + 1, int(step)))
+            step_n = int(step)
+            if step_n < 1:
+                raise ValueError(step)  # reported below as a bad range
+            return list(range(lo, hi + 1, step_n))
     except ValueError:
         raise ValidationError(
             f"bad range {text!r}: expected 'a,b,c', 'a..b' or 'a..b:step' with integers "
-            "and a non-zero step"
+            "and a positive step"
         ) from None
     if lo < 1:
         raise ValidationError(f"bad range {text!r}: a doubling range must start at >= 1")
@@ -388,7 +391,7 @@ def main(argv=None) -> int:
     except TraceFormatError as exc:
         print(f"dmclab: trace error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ValidationError, DmcError) as exc:
+    except DmcError as exc:
         print(f"dmclab: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except FileNotFoundError as exc:

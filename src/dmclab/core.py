@@ -157,10 +157,6 @@ class DmdReport:
     n_cold: int
     histogram: Mapping[int, int] = field(default_factory=dict)
 
-    @property
-    def total_dmd(self) -> float:
-        return self.reuse_dmd + self.cold_dmd
-
     def check(self, rel_tol: float = 1e-9) -> None:
         """Raise if the report is self-inconsistent."""
         if self.n_accesses != self.n_cold + sum(self.histogram.values()):

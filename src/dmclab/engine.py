@@ -27,6 +27,7 @@ from dmclab.core import (
     build_layout,
     scale_granularity,
 )
+from dmclab.models import model_cold as cold_cost
 
 # Per-access outcome: a finite stack distance (>= 1) or None for a cold miss.
 DistanceSequence = list[Optional[int]]
@@ -93,17 +94,6 @@ def stack_distances_fast(trace: Trace) -> DistanceSequence:
     return out
 
 
-def cold_cost(m: float) -> float:
-    """Cold-miss lower bound for touching m distinct data: m**1.5.
-
-    Each of the m items must have been at least m units away before its
-    first load.
-    """
-    if m < 0:
-        raise ValidationError("footprint must be non-negative")
-    return m**1.5
-
-
 def accumulate_dmd(
     distances: Sequence[Optional[int]],
     config: AnalysisConfig,
@@ -115,7 +105,8 @@ def accumulate_dmd(
       exclude         - cold_dmd = 0
       footprint_bound - cold_dmd = M**1.5, M the number of distinct data
       per_object      - cold_dmd = sum of size**1.5 over touched objects
-                        (pass their sizes as `touched_sizes`)
+                        (pass their sizes as `touched_sizes`; in blocks
+                        when the distances are in blocks)
 
     Summation runs through math.fsum over the histogram, so it is exact
     regardless of trace length.
@@ -128,10 +119,8 @@ def accumulate_dmd(
         cold_dmd = 0.0
     elif policy == "footprint_bound":
         cold_dmd = cold_cost(n_cold)
-    elif policy == "per_object":
+    else:  # per_object
         cold_dmd = math.fsum(cold_cost(size) for size in touched_sizes)
-    else:
-        raise ValidationError(f"unknown cold policy {policy!r}")
     return DmdReport(
         reuse_dmd=reuse_dmd,
         cold_dmd=cold_dmd,
@@ -181,7 +170,12 @@ def analyze_trace(
         layout = build_layout(trace.objects, config.block_size)
         measured = apply_block_transform(trace, layout)
     distances = distance_fn(measured)
-    touched_sizes = [obj.size for obj in measured.touched_objects()]
+    touched_sizes = ()
+    if config.cold_policy == "per_object":
+        # build_layout aligns every object to a block, so an object of
+        # size s occupies exactly ceil(s / b) blocks
+        b = config.block_size
+        touched_sizes = [-(-obj.size // b) for obj in trace.touched_objects()]
     report = accumulate_dmd(distances, config, touched_sizes)
     report.check()
     if config.granularity_bits > 1:

@@ -31,10 +31,15 @@ def model_matmul(m: int, n: int, l: int) -> float:
 
 
 def model_cold(m: float) -> float:
-    """Cold-miss lower bound for an algorithm touching m data: m**1.5."""
-    from dmclab.engine import cold_cost
+    """Cold-miss lower bound for touching m distinct data: m**1.5.
 
-    return cold_cost(m)
+    Each of the m items must have been at least m units away before its
+    first load.  The engine charges cold misses with this function under
+    the name `cold_cost`.
+    """
+    if m < 0:
+        raise ValidationError("footprint must be non-negative")
+    return m**1.5
 
 
 @dataclass(frozen=True)
@@ -168,10 +173,10 @@ class FftComponents:
     """Component sums of the recursive transform's cost.
 
     level_sizes[L] is the data size of a call at level L.  divide_sum
-    and conquer_sum share the printed double-sum form; the per-call
-    overhead C(a) is taken as `overhead_multiplier * a` (the overhead is
-    only specified as a small multiple of the call size).  distant_count
-    maps a root-of-unity index to its number of distant reuses.
+    and conquer_sum share the printed double-sum form, with the per-call
+    overhead taken as C(a) = a (the overhead is only specified as a
+    small multiple of the call size).  distant_count maps a
+    root-of-unity index to its number of distant reuses.
     """
 
     n: int
@@ -179,19 +184,6 @@ class FftComponents:
     divide_sum: float
     conquer_sum: float
     distant_count: Callable[[int], int] = field(repr=False)
-
-
-def _component_sum(n: int, overhead_multiplier: float) -> float:
-    logn = n.bit_length() - 1
-    total = 0.0
-    for d in range(2, logn + 1):
-        calls = 2 ** (logn - d)
-        base = fft_level_data_size(d - 1)
-        inner = math.fsum(
-            math.sqrt(base + overhead_multiplier * a) for a in range(2 ** (d - 1) + 1)
-        )
-        total += calls * inner
-    return total
 
 
 def fft_distant_reuses(n: int, index: int) -> int:
@@ -207,11 +199,15 @@ def fft_distant_reuses(n: int, index: int) -> int:
     return max(2 ** (v - 1) - 1, 0)
 
 
-def model_fft_components(n: int, overhead_multiplier: float = 1.0) -> FftComponents:
+def model_fft_components(n: int) -> FftComponents:
     """Evaluate the transform's component formulas for input size n."""
     _require_pow2(n)
     logn = n.bit_length() - 1
-    component_sum = _component_sum(n, overhead_multiplier)
+    component_sum = 0.0  # one double sum serves both divide and conquer
+    for d in range(2, logn + 1):
+        base = fft_level_data_size(d - 1)
+        inner = math.fsum(math.sqrt(base + a) for a in range(2 ** (d - 1) + 1))
+        component_sum += 2 ** (logn - d) * inner
     return FftComponents(
         n=n,
         level_sizes=tuple(fft_level_data_size(level) for level in range(logn + 1)),

@@ -6,6 +6,10 @@ Register-resident scalars (running sums, loop temporaries) are not
 traced; result writes are.  Object declaration order is inputs first,
 temporaries in creation order, outputs last, which fixes the memory
 layout used by the block transform.
+
+A parameter record's rule is its model's: constructing a record
+evaluates the model, which raises ValidationError on an invalid set.
+Every record that exists is valid, so generators trust their arguments.
 """
 
 from __future__ import annotations
@@ -23,9 +27,8 @@ class MatmulParams:
     n: int
     l: int
 
-    def validate(self):
-        if min(self.m, self.n, self.l) < 1:
-            raise ValidationError("matmul dimensions must be >= 1")
+    def __post_init__(self):
+        models.model_matmul(self.m, self.n, self.l)
 
 
 @dataclass(frozen=True)
@@ -34,11 +37,8 @@ class ConvParams:
     w: int
     k: int
 
-    def validate(self):
-        if min(self.h, self.w, self.k) < 1:
-            raise ValidationError("conv dimensions must be >= 1")
-        if self.k > min(self.h, self.w):
-            raise ValidationError("kernel must not exceed the image: k <= min(h, w)")
+    def __post_init__(self):
+        models.model_conv(self.h, self.w, self.k)
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,8 @@ class BatchParams:
     c: int
     x: int
 
-    def validate(self):
-        if min(self.n, self.k, self.c, self.x) < 1:
-            raise ValidationError("batchconv dimensions must be >= 1")
-        if self.k > self.n:
-            raise ValidationError("kernel must not exceed the image: k <= n")
-        if self.c % self.x != 0:
-            raise ValidationError("x must divide c")
+    def __post_init__(self):
+        models.model_batched(self.n, self.k, self.c, self.x)
 
 
 @dataclass(frozen=True)
@@ -62,20 +57,16 @@ class Im2colParams:
     n: int
     k: int
 
-    def validate(self):
-        if min(self.n, self.k) < 1:
-            raise ValidationError("im2col dimensions must be >= 1")
-        if self.k > self.n:
-            raise ValidationError("kernel must not exceed the image: k <= n")
+    def __post_init__(self):
+        models.model_im2col(self.n, self.k)
 
 
 @dataclass(frozen=True)
 class FftParams:
     n: int
 
-    def validate(self):
-        if self.n < 1 or self.n & (self.n - 1):
-            raise ValidationError("n must be a power of 2")
+    def __post_init__(self):
+        models.model_fft_bounds(self.n)
 
 
 @dataclass(frozen=True)
@@ -85,10 +76,9 @@ class GenSpec:
     algorithm: str
     params: object
 
-    def validate(self):
+    def __post_init__(self):
         if self.algorithm not in KERNELS:
             raise ValidationError(f"unknown algorithm {self.algorithm!r}")
-        self.params.validate()
 
 
 @dataclass(frozen=True)
@@ -136,19 +126,15 @@ class _TraceBuilder:
 
 def generate(spec: GenSpec) -> Trace:
     """Dispatch a GenSpec to its kernel's generator."""
-    spec.validate()
     return KERNELS[spec.algorithm].generator(*astuple(spec.params))
 
 
 def access_count(spec: GenSpec) -> int:
     """Exact trace length for a GenSpec, without generating it."""
-    spec.validate()
     return KERNELS[spec.algorithm].count(*astuple(spec.params))
 
 
 def _fft_access_count(n: int) -> int:
-    if n == 1:
-        return 1
     # each call of size N > 1: 2N divide accesses + 5N/2 conquer accesses
     total = 0
     size = n
@@ -166,7 +152,6 @@ def gen_matmul(m: int, n: int, l: int) -> Trace:
     Per inner iteration: read A[i][k], read B[k][j]; the running sum
     stays in a register and C[i][j] is written once per (i, j).
     """
-    MatmulParams(m, n, l).validate()
     b = _TraceBuilder()
     a_obj = b.new_object("A", m * n)
     b_obj = b.new_object("B", n * l)
@@ -187,7 +172,6 @@ def gen_conv(h: int, w: int, k: int) -> Trace:
     Windows sweep row-major; per kernel cell the kernel element is read,
     then the image element; one result write per window.
     """
-    ConvParams(h, w, k).validate()
     b = _TraceBuilder()
     img = b.new_object("I", h * w)
     ker = b.new_object("K", k * k)
@@ -213,7 +197,6 @@ def gen_im2col(n: int, k: int) -> Trace:
     with the flattened kernel, register accumulator, one write per
     output element.
     """
-    Im2colParams(n, k).validate()
     b = _TraceBuilder()
     img = b.new_object("I", n * n)
     ker = b.new_object("Kv", k * k)
@@ -246,7 +229,6 @@ def gen_batched_conv(n: int, k: int, c: int, x: int) -> Trace:
     into one shared result.  Loop order: batch, window, channel in
     batch, kernel cells, then one accumulate access to R per channel.
     """
-    BatchParams(n, k, c, x).validate()
     b = _TraceBuilder()
     imgs = [b.new_object(f"I{ch}", n * n) for ch in range(c)]
     kers = [b.new_object(f"K{ch}", k * k) for ch in range(c)]
@@ -316,7 +298,6 @@ def gen_fft(n: int) -> Trace:
     The root-of-unity table is one global object of size n/2, indexed so
     a call of size N touches entries 0, n/N, 2n/N, ...
     """
-    FftParams(n).validate()
     b = _TraceBuilder()
     a_obj = b.new_object("A", n)
     omega = b.new_object("omega", n // 2) if n > 1 else None
@@ -332,7 +313,6 @@ def gen_fft_conv2d(n: int) -> Trace:
     over the row results.  The inverse has identical memory behaviour to
     the forward pass, so it is emitted as one more forward transform.
     """
-    FftParams(n).validate()
     b = _TraceBuilder()
     ker = b.new_object("Kpad", n * n)
     img = b.new_object("I", n * n)

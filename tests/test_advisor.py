@@ -33,7 +33,7 @@ def test_advise_batch_prefers_no_batching_for_small_images():
 
 
 def test_crossover_image_size_matches_break_even():
-    res = crossover_image_size(3, 10, 10, reference_sizes=(2000.0,))
+    res = crossover_image_size(3, 10, 10)
     lo, hi = res.bracket
     assert hi - lo == 1
     assert lo <= res.n_star <= hi

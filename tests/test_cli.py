@@ -154,6 +154,8 @@ def test_sweep_both_zero_model_ratio_is_nan(tmp_path, capsys, flags):
     ["--alg", "fft", "--n", "2..x"],
     ["--alg", "batchconv", "--n", "8", "--k", "3", "--c", "4", "--x", "1,x"],
     ["--alg", "gqa", "--heads", "8,y", "--budget", "1e5"],
+    ["--alg", "fft", "--n", "2..8:-1"],
+    ["--alg", "fft", "--n", "8..2:-1"],
 ])
 def test_sweep_malformed_range_exit_two(tmp_path, capsys, flags):
     code, _, err = run(capsys, "sweep", *flags, "--out", str(tmp_path / "s.csv"))
@@ -215,6 +217,12 @@ def test_advise_batch(capsys):
     assert set(payload["costs"]) == {"1", "2", "5", "10"}
 
 
+def test_advise_batch_without_channels_exit_two(capsys):
+    code, out, err = run(capsys, "advise", "batch", "--n", "64", "--k", "3", "--c", "0")
+    assert (code, out) == (2, "")
+    assert "c >= 1" in err
+
+
 def test_advise_channels(capsys):
     code, out, _ = run(capsys, "advise", "channels", "--n", "1024", "--k", "3")
     assert code == 0
@@ -243,6 +251,18 @@ def test_advise_orientation(capsys):
     payload = json.loads(out)
     assert payload["square_over_portrait"] == pytest.approx(2**0.25)
     assert payload["landscape_over_portrait"] == pytest.approx(math.sqrt(2))
+
+
+@pytest.mark.parametrize("flags", [
+    ["--pixels", "-1", "--k", "3"],
+    ["--pixels", "0", "--k", "3"],
+    ["--pixels", "1e6", "--k", "-3"],
+    ["--pixels", "1e6", "--k", "0"],
+])
+def test_advise_orientation_bad_pixels_or_k_exit_two(capsys, flags):
+    code, out, err = run(capsys, "advise", "orientation", "--m", "2", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("dmclab: ")
 
 
 def test_advise_missing_flags_exit_two(capsys):

@@ -124,6 +124,18 @@ def test_cold_policies():
     assert per.cold_dmd == pytest.approx(sum(s**1.5 for s in sizes))
 
 
+def test_per_object_cold_cost_counts_source_blocks():
+    # under the aligned layout an object of size s spans ceil(s/b) blocks
+    full = Trace([DataObject(0, "A", 8)], [(0, i) for i in range(8)])
+    config = AnalysisConfig(block_size=4, cold_policy="per_object")
+    assert analyze_trace(full, config).cold_dmd == pytest.approx(2**1.5)
+    objs = [DataObject(0, "A", 8), DataObject(1, "B", 5)]
+    partial = Trace(objs, [(0, 0), (1, 0)])
+    assert analyze_trace(partial, config).cold_dmd == pytest.approx(2 * 2**1.5)
+    assert analyze_trace(partial, AnalysisConfig(cold_policy="per_object")).cold_dmd == (
+        pytest.approx(8**1.5 + 5**1.5))
+
+
 def test_analyze_trace_engines_agree():
     trace = letter_trace("abcbadcbaabcd")
     fast = analyze_trace(trace, engine="fast")
