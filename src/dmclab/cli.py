@@ -15,11 +15,13 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, fields, is_dataclass
 
 from dmclab import advisor, models, tracegen
 from dmclab.core import (
+    ACCESS_BYTES,
     COLD_POLICIES,
     AnalysisConfig,
     DmcError,
@@ -123,9 +125,16 @@ def _gen_spec(args) -> tracegen.GenSpec:
 
 def cmd_gen(args) -> int:
     spec = _gen_spec(args)
+    count = tracegen.access_count(spec)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if count * ACCESS_BYTES > memory:
+        raise ValidationError(
+            f"the trace has {count} accesses, {count * ACCESS_BYTES} bytes in memory, "
+            f"more than this machine's {memory} bytes"
+        )
     trace = tracegen.generate(spec)
     write_dmt(trace, args.out)
-    print(f"wrote {args.out}: {len(trace.objects)} objects, {len(trace.accesses)} accesses")
+    print(f"wrote {args.out}: {len(trace.objects)} objects, {len(trace)} accesses")
     return EXIT_OK
 
 

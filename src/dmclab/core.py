@@ -13,6 +13,7 @@ concurrent analyses.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -47,18 +48,24 @@ class DataObject:
     size: int
 
     def __post_init__(self):
+        if not -(2**63) <= self.id < 2**63:
+            raise ValidationError(f"object {self.name!r}: id {self.id} does not fit in 64 bits")
         if self.size < 1:
             raise ValidationError(f"object {self.name!r}: size must be >= 1, got {self.size}")
+
+
+# bytes a trace holds per access: one int64 in each of its two columns
+ACCESS_BYTES = 2 * array("q").itemsize
 
 
 class Trace:
     """An object table plus an ordered, immutable sequence of accesses.
 
-    Accesses are stored as plain ``(object_id, offset)`` tuples for
-    compactness.
+    Accesses are stored as two read-only int64 columns, `oids` and
+    `offsets`: the two fields of a .dmt access line.
     """
 
-    __slots__ = ("objects", "accesses", "_by_id")
+    __slots__ = ("objects", "oids", "offsets", "_by_id")
 
     def __init__(
         self,
@@ -66,20 +73,44 @@ class Trace:
         accesses: Iterable[tuple[int, int]],
         validate: bool = True,
     ):
+        pairs = accesses if isinstance(accesses, (list, tuple)) else list(accesses)
+        try:
+            oids = array("q", [oid for oid, _ in pairs])
+            offsets = array("q", [off for _, off in pairs])
+        except OverflowError:
+            raise ValidationError("object ids and offsets must fit in 64 bits") from None
+        self._init(objects, oids, offsets, validate)
+
+    @classmethod
+    def from_columns(
+        cls,
+        objects: Sequence[DataObject],
+        oids: array,
+        offsets: array,
+        validate: bool = True,
+    ) -> Trace:
+        """A trace over two equal-length ``array('q')`` columns, which it
+        takes over: the caller must not modify them afterwards."""
+        trace = cls.__new__(cls)
+        trace._init(objects, oids, offsets, validate)
+        return trace
+
+    def _init(self, objects, oids: array, offsets: array, validate: bool) -> None:
         by_id: dict[int, DataObject] = {}
         for obj in objects:
             if obj.id in by_id:
                 raise ValidationError(f"duplicate object id {obj.id}")
             by_id[obj.id] = obj
         self.objects: tuple[DataObject, ...] = tuple(objects)
-        self.accesses: tuple[tuple[int, int], ...] = tuple(accesses)
+        self.oids = memoryview(oids).toreadonly()
+        self.offsets = memoryview(offsets).toreadonly()
         self._by_id = by_id
         if validate:
             self._validate()
 
     def _validate(self):
         sizes = {oid: obj.size for oid, obj in self._by_id.items()}
-        for i, (oid, off) in enumerate(self.accesses):
+        for i, (oid, off) in enumerate(zip(self.oids, self.offsets)):
             size = sizes.get(oid)
             if size is None:
                 raise ValidationError(f"access {i}: unknown object id {oid}")
@@ -88,21 +119,27 @@ class Trace:
                     f"access {i}: offset {off} out of range for object {oid} (size {size})"
                 )
 
+    @property
+    def accesses(self) -> tuple[tuple[int, int], ...]:
+        """The accesses as ``(object_id, offset)`` pairs, built on each call."""
+        return tuple(zip(self.oids, self.offsets))
+
     def touched_objects(self) -> list[DataObject]:
         """Objects that appear in at least one access, in id order."""
-        seen = {oid for oid, _ in self.accesses}
+        seen = set(self.oids)
         return [obj for obj in self.objects if obj.id in seen]
 
     def __len__(self) -> int:
-        return len(self.accesses)
+        return len(self.oids)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        return self.objects == other.objects and self.accesses == other.accesses
+        return (self.objects == other.objects and self.oids == other.oids
+                and self.offsets == other.offsets)
 
     def __repr__(self) -> str:
-        return f"Trace({len(self.objects)} objects, {len(self.accesses)} accesses)"
+        return f"Trace({len(self.objects)} objects, {len(self)} accesses)"
 
 
 @dataclass(frozen=True)
@@ -185,8 +222,6 @@ def build_layout(objects: Sequence[DataObject], block_size: int) -> LayoutTable:
     """
     if block_size < 1:
         raise ValidationError("block_size must be >= 1")
-    if not objects:
-        raise ValidationError("need at least one object")
     bases: dict[int, int] = {}
     cursor = 0
     for obj in objects:
@@ -223,22 +258,32 @@ def write_dmt(trace: Trace, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for obj in trace.objects:
             fh.write(f"%object {obj.id} {obj.size} {obj.name}\n")
-        for oid, off in trace.accesses:
+        for oid, off in zip(trace.oids, trace.offsets):
             fh.write(f"{oid} {off}\n")
 
 
 def read_dmt(path) -> Trace:
+    """Parse a .dmt file into a trace, streaming accesses into its columns.
+
+    Every malformed line raises TraceFormatError with its line number;
+    an access to an undeclared object or element is reported by its
+    access index.
+    """
     objects: list[DataObject] = []
-    accesses: list[tuple[int, int]] = []
-    with open(path, "r", encoding="ascii") as fh:
+    oids, offsets = array("q"), array("q")
+    add_oid, add_offset = oids.append, offsets.append
+    # undecodable bytes become lone surrogates, which no integer parse accepts
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts or parts[0][0] == "#":
                 continue
-            if line.startswith("%object"):
-                parts = line.split(maxsplit=3)
+            if parts[0].startswith("%object"):
+                parts = raw.strip().split(maxsplit=3)
                 if len(parts) != 4:
                     raise TraceFormatError("expected '%object <id> <size> <name>'", lineno)
+                if not parts[3].isascii():
+                    raise TraceFormatError("object name must be ASCII", lineno)
                 try:
                     oid, size = int(parts[1]), int(parts[2])
                 except ValueError:
@@ -247,15 +292,17 @@ def read_dmt(path) -> Trace:
                     objects.append(DataObject(id=oid, name=parts[3], size=size))
                 except ValidationError as exc:
                     raise TraceFormatError(str(exc), lineno)
-            else:
-                parts = line.split()
-                if len(parts) != 2:
-                    raise TraceFormatError("expected '<object id> <offset>'", lineno)
-                try:
-                    accesses.append((int(parts[0]), int(parts[1])))
-                except ValueError:
-                    raise TraceFormatError("object id and offset must be integers", lineno)
+                continue
+            if len(parts) != 2:
+                raise TraceFormatError("expected '<object id> <offset>'", lineno)
+            try:
+                add_oid(int(parts[0]))
+                add_offset(int(parts[1]))
+            except ValueError:
+                raise TraceFormatError("object id and offset must be integers", lineno)
+            except OverflowError:
+                raise TraceFormatError("object id and offset must fit in 64 bits", lineno)
     try:
-        return Trace(objects, accesses)
+        return Trace.from_columns(objects, oids, offsets)
     except ValidationError as exc:
         raise TraceFormatError(str(exc))

@@ -6,16 +6,25 @@ so an immediate re-access has distance 1.  First touches are cold and
 have no finite distance.
 
 Two engines compute the same distances: a naive O(N*M) stack scan that
-serves as the oracle, and an O(N log N) engine built on a Fenwick tree
-keyed by last-access time.  Their outputs are equal element-wise for
-every trace.
+serves as the oracle, and a vectorised numpy engine that counts them
+offline (Bennett and Kruskal 1975; Olken 1981).  With prev[i] the
+position of the previous access to the same datum, -1 for a cold one,
+the distance of a reuse is the dominance count
+
+    d(i) = #{j < i : prev[j] <= prev[i]} - prev[i],
+
+taken exactly in integer arithmetic over log2 N vectorised passes.  Their outputs are equal
+element-wise for every trace.  numpy is imported only inside the
+functions that analyse a trace, so the CLI's model and advice commands
+never load it.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from dmclab.core import (
     AnalysisConfig,
@@ -29,8 +38,14 @@ from dmclab.core import (
 )
 from dmclab.models import model_cold as cold_cost
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # Per-access outcome: a finite stack distance (>= 1) or None for a cold miss.
 DistanceSequence = list[Optional[int]]
+
+# _count_smaller_before works in int32
+_MAX_ACCESSES = 2**31 - 1
 
 
 def stack_distances_oracle(trace: Trace) -> DistanceSequence:
@@ -54,44 +69,143 @@ def stack_distances_oracle(trace: Trace) -> DistanceSequence:
     return out
 
 
-def stack_distances_fast(trace: Trace) -> DistanceSequence:
-    """Tree engine: identical output to the oracle, O(N log N).
+def _block_ids(trace: Trace, layout: LayoutTable) -> np.ndarray:
+    """(base + offset) // block_size of every access under `layout`: one
+    int64 key per access, equal exactly when two accesses share a block."""
+    import numpy as np
 
-    A Fenwick tree over access positions holds a 1 at the last-access
-    position of every datum seen so far.  For a reuse at time i of a
-    datum last seen at t0, the distinct data touched in between are
-    exactly the ones whose marker lies in (t0, i), so the distance is
-    (#markers) - prefix(t0) + 1.
+    objects = trace.objects
+    bases = [layout.bases[obj.id] for obj in objects]
+    end = max((base + obj.size for base, obj in zip(bases, objects)), default=0)
+    if end >= 2**63:
+        raise ValidationError(f"layout spans {end} elements, beyond 64-bit addresses")
+    ids = np.fromiter((obj.id for obj in objects), dtype=np.int64, count=len(objects))
+    by_id = np.argsort(ids)
+    ids = ids[by_id]
+    base = np.array(bases, dtype=np.int64)[by_id]
+    oids = np.frombuffer(trace.oids, dtype=np.int64)
+    keys = base[np.searchsorted(ids, oids)]
+    keys += np.frombuffer(trace.offsets, dtype=np.int64)
+    keys //= layout.block_size
+    return keys
+
+
+def _count_smaller_before(ranks: np.ndarray) -> np.ndarray:
+    """c[i] = #{j < i : ranks[j] < ranks[i]} for a permutation of 0..R-1.
+
+    Before the pass over bit l, the ranks are ordered by (rank >> (l+1),
+    access order), so the group of 2^(l+1) ranks sharing those high bits
+    fills the slots [g * 2^(l+1), (g+1) * 2^(l+1)), its 2^l clear-bit
+    ranks first.  A rank with bit l set exceeds every earlier rank of its
+    group with bit l clear; the pass counts those, then splits each group
+    stably by bit l.  After the last pass rank r sits in slot r.
     """
-    accesses = trace.accesses
-    n = len(accesses)
-    tree = [0] * (n + 1)
-    last: dict[tuple[int, int], int] = {}
-    out: DistanceSequence = []
-    append = out.append
-    distinct = 0
-    for i, key in enumerate(accesses):
-        t0 = last.get(key, -1)
-        if t0 < 0:
-            distinct += 1
-            append(None)
-        else:
-            j = t0 + 1
-            s = 0
-            while j:
-                s += tree[j]
-                j -= j & -j
-            append(distinct - s + 1)
-            j = t0 + 1
-            while j <= n:
-                tree[j] -= 1
-                j += j & -j
-        j = i + 1
-        while j <= n:
-            tree[j] += 1
-            j += j & -j
-        last[key] = i
+    import numpy as np
+
+    # slots, ranks and counts stay below _MAX_ACCESSES: int32 halves the
+    # memory and time of each pass
+    slot = np.arange(len(ranks), dtype=np.int32)
+    values = ranks.astype(np.int32)
+    counts = np.zeros(len(ranks), dtype=np.int32)
+    for l in reversed(range(max(len(ranks) - 1, 0).bit_length())):
+        bit = values >> l
+        bit &= 1
+        zeros = np.cumsum(bit, dtype=np.int32)
+        np.subtract(slot, zeros, out=zeros)
+        zeros += bit  # clear-bit ranks in earlier slots
+        start = slot >> (l + 1)
+        start <<= l  # each earlier group holds 2^l of them
+        zeros -= start  # ... of them in this slot's group
+        counts += bit * zeros
+        # clear bits keep their order from the group's start, set bits
+        # follow the group's 2^l clear ones
+        start <<= 1
+        start += zeros
+        to = np.where(bit, slot - zeros + (1 << l), start)
+        moved = np.empty_like(values)
+        moved[to] = values
+        values = moved
+        moved = np.empty_like(counts)
+        moved[to] = counts
+        counts = moved
+    return counts[ranks]
+
+
+def _reuse_distances(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(reuse mask, stack distance of each reuse in access order) of a
+    key column."""
+    import numpy as np
+
+    n = len(keys)
+    if n > _MAX_ACCESSES:
+        raise ValidationError(f"{n} accesses exceed the fast engine's limit of {_MAX_ACCESSES}")
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    same = sorted_keys[1:] == sorted_keys[:-1]
+    del sorted_keys  # arrays go once used: on long traces they set peak memory
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    del order, same
+    reuse = prev >= 0
+    p = prev[reuse]
+    del prev
+    # prev is distinct over reuses: rank it among them, in access order
+    has_next = np.zeros(n, dtype=bool)
+    has_next[p] = True
+    ranks = np.cumsum(has_next)[p] - 1
+    # the cold accesses before i have prev -1 <= prev[i]; so do the reuses
+    # whose prev ranks below prev[i]'s
+    cold_before = np.cumsum(~reuse)[reuse]
+    return reuse, cold_before + _count_smaller_before(ranks) - p
+
+
+def stack_distances_fast(trace: Trace) -> DistanceSequence:
+    """Numpy engine: identical output to the oracle, O(N log N)."""
+    import numpy as np
+
+    reuse, distances = _reuse_distances(_block_ids(trace, build_layout(trace.objects, 1)))
+    full = np.zeros(len(trace), dtype=np.int64)
+    full[reuse] = distances
+    out: DistanceSequence = full.tolist()
+    for i in np.flatnonzero(~reuse).tolist():
+        out[i] = None
     return out
+
+
+def _histogram(trace: Trace, block_size: int) -> tuple[dict[int, int], int]:
+    """(stack distance -> count, number of cold accesses), in blocks of
+    `block_size` under build_layout, by the numpy engine."""
+    import numpy as np
+
+    keys = _block_ids(trace, build_layout(trace.objects, block_size))
+    _, distances = _reuse_distances(keys)
+    counts = np.bincount(distances)
+    bins = np.flatnonzero(counts)
+    return dict(zip(bins.tolist(), counts[bins].tolist())), len(keys) - len(distances)
+
+
+def _report(
+    histogram: Mapping[int, int],
+    n_cold: int,
+    n_accesses: int,
+    config: AnalysisConfig,
+    touched_sizes: Iterable[int],
+) -> DmdReport:
+    reuse_dmd = math.fsum(c * math.sqrt(d) for d, c in histogram.items())
+    policy = config.cold_policy
+    if policy == "exclude":
+        cold_dmd = 0.0
+    elif policy == "footprint_bound":
+        cold_dmd = cold_cost(n_cold)
+    else:  # per_object
+        cold_dmd = math.fsum(cold_cost(size) for size in touched_sizes)
+    return DmdReport(
+        reuse_dmd=reuse_dmd,
+        cold_dmd=cold_dmd,
+        n_accesses=n_accesses,
+        n_cold=n_cold,
+        histogram=dict(histogram),
+    )
 
 
 def accumulate_dmd(
@@ -112,22 +226,8 @@ def accumulate_dmd(
     regardless of trace length.
     """
     histogram = Counter(d for d in distances if d is not None)
-    n_cold = sum(1 for d in distances if d is None)
-    reuse_dmd = math.fsum(c * math.sqrt(d) for d, c in histogram.items())
-    policy = config.cold_policy
-    if policy == "exclude":
-        cold_dmd = 0.0
-    elif policy == "footprint_bound":
-        cold_dmd = cold_cost(n_cold)
-    else:  # per_object
-        cold_dmd = math.fsum(cold_cost(size) for size in touched_sizes)
-    return DmdReport(
-        reuse_dmd=reuse_dmd,
-        cold_dmd=cold_dmd,
-        n_accesses=len(distances),
-        n_cold=n_cold,
-        histogram=dict(histogram),
-    )
+    n_cold = len(distances) - histogram.total()
+    return _report(histogram, n_cold, len(distances), config, touched_sizes)
 
 
 def apply_block_transform(trace: Trace, layout: LayoutTable) -> Trace:
@@ -137,20 +237,20 @@ def apply_block_transform(trace: Trace, layout: LayoutTable) -> Trace:
     id = (base + offset) // block_size.  The output has the same length
     as the input; distances measured on it are distances in blocks.
     """
-    b = layout.block_size
-    bases = layout.bases
-    missing = [obj.id for obj in trace.objects if obj.id not in bases]
+    import numpy as np
+
+    missing = [obj.id for obj in trace.objects if obj.id not in layout.bases]
     if missing:
         raise ValidationError(f"layout does not cover object ids {missing}")
-    block_accesses: list[tuple[int, int]] = []
-    append = block_accesses.append
-    seen: set[int] = set()
-    for oid, off in trace.accesses:
-        bid = (bases[oid] + off) // b
-        seen.add(bid)
-        append((bid, 0))
-    block_objects = [DataObject(id=bid, name=f"block{bid}", size=1) for bid in sorted(seen)]
-    return Trace(block_objects, block_accesses, validate=False)
+    bids = _block_ids(trace, layout)
+    # np.unique would load numpy.ma on its first call
+    ordered = np.sort(bids)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    block_objects = [DataObject(id=bid, name=f"block{bid}", size=1)
+                     for bid in ordered[first].tolist()]
+    return Trace.from_columns(block_objects, array("q", bids.tobytes()),
+                              array("q", [0]) * len(bids), validate=False)
 
 
 def analyze_trace(
@@ -159,24 +259,22 @@ def analyze_trace(
     engine: str = "fast",
 ) -> DmdReport:
     """One-stop analysis: block transform, distances, accumulation, scaling."""
-    if engine == "fast":
-        distance_fn = stack_distances_fast
-    elif engine == "oracle":
-        distance_fn = stack_distances_oracle
-    else:
-        raise ValidationError(f"unknown engine {engine!r}; expected 'fast' or 'oracle'")
-    measured = trace
-    if config.block_size > 1:
-        layout = build_layout(trace.objects, config.block_size)
-        measured = apply_block_transform(trace, layout)
-    distances = distance_fn(measured)
+    b = config.block_size
     touched_sizes = ()
     if config.cold_policy == "per_object":
         # build_layout aligns every object to a block, so an object of
         # size s occupies exactly ceil(s / b) blocks
-        b = config.block_size
         touched_sizes = [-(-obj.size // b) for obj in trace.touched_objects()]
-    report = accumulate_dmd(distances, config, touched_sizes)
+    if engine == "fast":
+        histogram, n_cold = _histogram(trace, b)
+        report = _report(histogram, n_cold, len(trace), config, touched_sizes)
+    elif engine == "oracle":
+        measured = trace
+        if b > 1:
+            measured = apply_block_transform(trace, build_layout(trace.objects, b))
+        report = accumulate_dmd(stack_distances_oracle(measured), config, touched_sizes)
+    else:
+        raise ValidationError(f"unknown engine {engine!r}; expected 'fast' or 'oracle'")
     report.check()
     if config.granularity_bits > 1:
         report = scale_granularity(report, config.granularity_bits)

@@ -10,15 +10,23 @@ layout used by the block transform.
 A parameter record's rule is its model's: constructing a record
 evaluates the model, which raises ValidationError on an invalid set.
 Every record that exists is valid, so generators trust their arguments.
+The record keeps that evaluation as its `result` attribute, outside its
+fields, so sweeps read the model columns without evaluating it again.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import astuple, dataclass, fields
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from dmclab import models
 from dmclab.core import DataObject, Trace, ValidationError
+
+
+def _keep(record, result) -> None:
+    """Store a record's model evaluation beside its fields."""
+    object.__setattr__(record, "result", result)
 
 
 @dataclass(frozen=True)
@@ -28,7 +36,7 @@ class MatmulParams:
     l: int
 
     def __post_init__(self):
-        models.model_matmul(self.m, self.n, self.l)
+        _keep(self, models.model_matmul(self.m, self.n, self.l))
 
 
 @dataclass(frozen=True)
@@ -38,7 +46,7 @@ class ConvParams:
     k: int
 
     def __post_init__(self):
-        models.model_conv(self.h, self.w, self.k)
+        _keep(self, models.model_conv(self.h, self.w, self.k))
 
 
 @dataclass(frozen=True)
@@ -49,7 +57,7 @@ class BatchParams:
     x: int
 
     def __post_init__(self):
-        models.model_batched(self.n, self.k, self.c, self.x)
+        _keep(self, models.model_batched(self.n, self.k, self.c, self.x))
 
 
 @dataclass(frozen=True)
@@ -58,7 +66,7 @@ class Im2colParams:
     k: int
 
     def __post_init__(self):
-        models.model_im2col(self.n, self.k)
+        _keep(self, models.model_im2col(self.n, self.k))
 
 
 @dataclass(frozen=True)
@@ -66,7 +74,7 @@ class FftParams:
     n: int
 
     def __post_init__(self):
-        models.model_fft_bounds(self.n)
+        _keep(self, models.model_fft_bounds(self.n))
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,8 @@ class Kernel:
     sweep_flags: flags a sweep point takes besides the swept size n;
       a flag given as a string (batchconv's --x) is swept as a range too.
     square: (n, *sweep flag values) -> params of the square sweep point.
-    model: params -> the sweep's model columns, including model_total.
+    model: params -> the sweep's model columns, including model_total,
+      read from the record's kept `result` where its own model gives them.
     """
 
     params: type
@@ -107,21 +116,57 @@ class Kernel:
 
 
 class _TraceBuilder:
+    """Object table and access columns of a trace under construction.
+
+    Generators emit a loop's accesses a column at a time: the offsets one
+    body position touches over all iterations are one arithmetic column
+    (`arange`), and `_interleave` lays the body's columns out in
+    iteration order.
+    """
+
     def __init__(self):
         self.objects: list[DataObject] = []
-        self.accesses: list[tuple[int, int]] = []
+        self.oids = array("q")
+        self.offsets = array("q")
+        self._iota = array("q")  # 0, 1, 2, ...: the columns `arange` cuts
 
     def new_object(self, name: str, size: int) -> int:
         oid = len(self.objects)
         self.objects.append(DataObject(id=oid, name=name, size=size))
         return oid
 
+    def arange(self, start: int, stop: int, step: int = 1) -> array:
+        """array('q', range(start, stop, step)) for 0 <= start, step > 0."""
+        have = len(self._iota)
+        if stop > have:
+            self._iota.extend(range(have, max(stop, 2 * have)))
+        return self._iota[start:stop:step]
+
     def access(self, oid: int, offset: int) -> None:
-        self.accesses.append((oid, offset))
+        self.oids.append(oid)
+        self.offsets.append(offset)
+
+    def extend(self, oids: array, offsets: array) -> None:
+        self.oids.extend(oids)
+        self.offsets.extend(offsets)
 
     def build(self) -> Trace:
         # generators index within declared bounds by construction
-        return Trace(self.objects, self.accesses, validate=False)
+        return Trace.from_columns(self.objects, self.oids, self.offsets, validate=False)
+
+
+def _repeat(value: int, count: int) -> array:
+    return array("q", [value]) * count
+
+
+def _interleave(*columns: array) -> array:
+    """columns[0][0], columns[1][0], ..., columns[0][1], columns[1][1], ...:
+    the accesses of a loop whose body touches one element of each column."""
+    m = len(columns)
+    out = _repeat(0, m * len(columns[0]))
+    for i, col in enumerate(columns):
+        out[i::m] = col
+    return out
 
 
 def generate(spec: GenSpec) -> Trace:
@@ -156,13 +201,11 @@ def gen_matmul(m: int, n: int, l: int) -> Trace:
     a_obj = b.new_object("A", m * n)
     b_obj = b.new_object("B", n * l)
     c_obj = b.new_object("C", m * l)
-    access = b.access
+    inner_oids = array("q", [a_obj, b_obj]) * n
     for i in range(m):
         for j in range(l):
-            for k in range(n):
-                access(a_obj, i * n + k)
-                access(b_obj, k * l + j)
-            access(c_obj, i * l + j)
+            b.extend(inner_oids, _interleave(b.arange(i * n, i * n + n), b.arange(j, n * l, l)))
+            b.access(c_obj, i * l + j)
     return b.build()
 
 
@@ -176,15 +219,17 @@ def gen_conv(h: int, w: int, k: int) -> Trace:
     img = b.new_object("I", h * w)
     ker = b.new_object("K", k * k)
     res = b.new_object("R", (h - k + 1) * (w - k + 1))
-    access = b.access
     out_w = w - k + 1
+    window_oids = array("q", [ker, img] * (k * k) + [res]) * out_w
     for i in range(h - k + 1):
-        for j in range(out_w):
-            for y in range(k):
-                for x in range(k):
-                    access(ker, y * k + x)
-                    access(img, (i + y) * w + (j + x))
-            access(res, i * out_w + j)
+        # one iteration per window of output row i
+        columns = []
+        for y in range(k):
+            for x in range(k):
+                start = (i + y) * w + x
+                columns += [_repeat(y * k + x, out_w), b.arange(start, start + out_w)]
+        columns.append(b.arange(i * out_w, i * out_w + out_w))
+        b.extend(window_oids, _interleave(*columns))
     return b.build()
 
 
@@ -203,22 +248,24 @@ def gen_im2col(n: int, k: int) -> Trace:
     out_n = n - k + 1
     patches = b.new_object("R", out_n * out_n * k * k)
     out = b.new_object("out", out_n * out_n)
-    access = b.access
-    for i in range(out_n):
-        for j in range(out_n):
-            p = 0
-            row = (i * out_n + j) * k * k
-            for y in range(k):
-                for x in range(k):
-                    access(img, (i + y) * n + (j + x))
-                    access(patches, row + p)
-                    p += 1
     kk = k * k
-    for row in range(out_n * out_n):
-        for col in range(kk):
-            access(patches, row * kk + col)
-            access(ker, col)
-        access(out, row)
+    copy_oids = array("q", [img, patches] * kk) * out_n
+    for i in range(out_n):
+        # one iteration per window of output row i
+        first_row = i * out_n * kk
+        columns = []
+        for y in range(k):
+            for x in range(k):
+                start = (i + y) * n + x
+                cell = first_row + y * k + x
+                columns += [b.arange(start, start + out_n), b.arange(cell, cell + out_n * kk, kk)]
+        b.extend(copy_oids, _interleave(*columns))
+    rows = out_n * out_n
+    columns = []
+    for col in range(kk):
+        columns += [b.arange(col, rows * kk, kk), _repeat(col, rows)]
+    columns.append(b.arange(0, rows))
+    b.extend(array("q", [patches, ker] * kk + [out]) * rows, _interleave(*columns))
     return b.build()
 
 
@@ -234,62 +281,61 @@ def gen_batched_conv(n: int, k: int, c: int, x: int) -> Trace:
     kers = [b.new_object(f"K{ch}", k * k) for ch in range(c)]
     out_n = n - k + 1
     res = b.new_object("R", out_n * out_n)
-    access = b.access
     for batch in range(c // x):
         channels = range(batch * x, (batch + 1) * x)
+        window_oids = array(
+            "q", [o for ch in channels for o in [kers[ch], imgs[ch]] * (k * k) + [res]]
+        ) * out_n
         for i in range(out_n):
-            for j in range(out_n):
-                for ch in channels:
-                    img, ker = imgs[ch], kers[ch]
-                    for y in range(k):
-                        for xx in range(k):
-                            access(ker, y * k + xx)
-                            access(img, (i + y) * n + (j + xx))
-                    access(res, i * out_n + j)
+            # one iteration per window of output row i
+            cells = []
+            for y in range(k):
+                for xx in range(k):
+                    start = (i + y) * n + xx
+                    cells += [_repeat(y * k + xx, out_n), b.arange(start, start + out_n)]
+            result = b.arange(i * out_n, i * out_n + out_n)
+            b.extend(window_oids, _interleave(*(cells + [result]) * x))
     return b.build()
 
 
 def _fft_recurse(
     b: _TraceBuilder,
-    src: Sequence[tuple[int, int]],
+    src: tuple[array, array],
     omega: Optional[int],
     n_root: int,
     label: str,
-) -> list[tuple[int, int]]:
+) -> tuple[int, array]:
     """Emit accesses of one recursive transform call over `src` elements.
 
-    Divide phase: fresh even/odd copy objects per call, even copies
-    emitted just before the even recursive call, odd copies just before
-    the odd one.  Conquer phase reads the two child results and the
-    shared root-of-unity table, writing both output halves.  Returns the
-    locations of the call's output; base case returns its input after a
-    single read.
+    `src` is the call's input as (object ids, offsets) columns.  Divide
+    phase: fresh even/odd copy objects per call, even copies emitted
+    just before the even recursive call, odd copies just before the odd
+    one.  Conquer phase reads the two child results and the shared
+    root-of-unity table, writing both output halves.  Returns the call's
+    output, one object and the offsets of its elements in order; base
+    case returns its input after a single read.
     """
-    n = len(src)
-    access = b.access
+    src_oids, src_offsets = src
+    n = len(src_offsets)
     if n == 1:
-        access(*src[0])
-        return list(src)
+        b.access(src_oids[0], src_offsets[0])
+        return src_oids[0], src_offsets
     half = n // 2
-    even = b.new_object(f"{label}.even", half)
-    for i in range(half):
-        access(*src[2 * i])
-        access(even, i)
-    f_even = _fft_recurse(b, [(even, i) for i in range(half)], omega, n_root, label + ".e")
-    odd = b.new_object(f"{label}.odd", half)
-    for i in range(half):
-        access(*src[2 * i + 1])
-        access(odd, i)
-    f_odd = _fft_recurse(b, [(odd, i) for i in range(half)], omega, n_root, label + ".o")
+    children = []
+    for parity, name in ((0, "even"), (1, "odd")):
+        copy = b.new_object(f"{label}.{name}", half)
+        b.extend(_interleave(src_oids[parity::2], _repeat(copy, half)),
+                 _interleave(src_offsets[parity::2], b.arange(0, half)))
+        children.append(_fft_recurse(b, (_repeat(copy, half), b.arange(0, half)),
+                                     omega, n_root, label + "." + name[0]))
+    (even, even_offsets), (odd, odd_offsets) = children
     y = b.new_object(f"{label}.y", n)
-    stride = n_root // n
-    for k in range(half):
-        access(*f_even[k])
-        access(omega, k * stride)
-        access(*f_odd[k])
-        access(y, k)
-        access(y, k + half)
-    return [(y, i) for i in range(n)]
+    b.extend(
+        array("q", [even, omega, odd, y, y]) * half,
+        _interleave(even_offsets, b.arange(0, n_root // 2, n_root // n), odd_offsets,
+                    b.arange(0, half), b.arange(half, n)),
+    )
+    return y, b.arange(0, n)
 
 
 def gen_fft(n: int) -> Trace:
@@ -301,7 +347,7 @@ def gen_fft(n: int) -> Trace:
     b = _TraceBuilder()
     a_obj = b.new_object("A", n)
     omega = b.new_object("omega", n // 2) if n > 1 else None
-    _fft_recurse(b, [(a_obj, i) for i in range(n)], omega, n, "f")
+    _fft_recurse(b, (_repeat(a_obj, n), b.arange(0, n)), omega, n, "f")
     return b.build()
 
 
@@ -312,33 +358,35 @@ def gen_fft_conv2d(n: int) -> Trace:
     A 2D transform is n row transforms followed by n column transforms
     over the row results.  The inverse has identical memory behaviour to
     the forward pass, so it is emitted as one more forward transform.
+    A grid is a list of rows, each row (object ids, offsets) columns.
     """
     b = _TraceBuilder()
     ker = b.new_object("Kpad", n * n)
     img = b.new_object("I", n * n)
     omega = b.new_object("omega", n // 2) if n > 1 else None
 
-    def transform2d(grid: list[list[tuple[int, int]]], label: str) -> list[list[tuple[int, int]]]:
+    def column(outputs: list, c: int) -> tuple[array, array]:
+        return (array("q", [oid for oid, _ in outputs]),
+                array("q", [offsets[c] for _, offsets in outputs]))
+
+    def transform2d(grid: list, label: str) -> list:
         rows = [
             _fft_recurse(b, grid[r], omega, n, f"{label}.r{r}") for r in range(n)
         ]
         cols = [
-            _fft_recurse(b, [rows[r][c] for r in range(n)], omega, n, f"{label}.c{c}")
-            for c in range(n)
+            _fft_recurse(b, column(rows, c), omega, n, f"{label}.c{c}") for c in range(n)
         ]
-        return [[cols[c][r] for c in range(n)] for r in range(n)]
+        return [column(cols, r) for r in range(n)]
 
-    def obj_grid(oid: int) -> list[list[tuple[int, int]]]:
-        return [[(oid, r * n + c) for c in range(n)] for r in range(n)]
+    def obj_grid(oid: int) -> list:
+        return [(_repeat(oid, n), b.arange(r * n, r * n + n)) for r in range(n)]
 
     ker_t = transform2d(obj_grid(ker), "K")
     img_t = transform2d(obj_grid(img), "I")
     prod = b.new_object("P", n * n)
-    for r in range(n):
-        for c in range(n):
-            b.access(*ker_t[r][c])
-            b.access(*img_t[r][c])
-            b.access(prod, r * n + c)
+    for r, ((ker_oids, ker_offsets), (img_oids, img_offsets)) in enumerate(zip(ker_t, img_t)):
+        b.extend(_interleave(ker_oids, img_oids, _repeat(prod, n)),
+                 _interleave(ker_offsets, img_offsets, b.arange(r * n, r * n + n)))
     transform2d(obj_grid(prod), "P")
     return b.build()
 
@@ -356,13 +404,8 @@ def _fftconv2d_count(n: int) -> int:
     return 3 * per_2d + 3 * n * n
 
 
-def _conv_columns(p: ConvParams) -> dict:
-    res = models.model_conv(p.h, p.w, p.k)
-    return {"model_total": res.total, "model_asymptotic": res.asymptotic}
-
-
 def _fft_columns(p: FftParams) -> dict:
-    lower, upper = models.model_fft_bounds(p.n)
+    lower, upper = p.result
     return {"model_lower": lower, "model_upper": upper, "model_total": lower}
 
 
@@ -371,21 +414,21 @@ KERNELS = {
         MatmulParams, gen_matmul,
         lambda m, n, l: 2 * m * n * l + m * l,
         (), lambda n: MatmulParams(n, n, n),
-        lambda p: {"model_total": models.model_matmul(p.m, p.n, p.l)}),
+        lambda p: {"model_total": p.result}),
     "conv": Kernel(
         ConvParams, gen_conv,
         lambda h, w, k: (h - k + 1) * (w - k + 1) * (2 * k**2 + 1),
         ("k",), lambda n, k: ConvParams(n, n, k),
-        _conv_columns),
+        lambda p: {"model_total": p.result.total, "model_asymptotic": p.result.asymptotic}),
     "im2col": Kernel(
         Im2colParams, gen_im2col, _im2col_count,
         ("k",), Im2colParams,
-        lambda p: {"model_total": models.model_im2col(p.n, p.k).total}),
+        lambda p: {"model_total": p.result.total}),
     "batchconv": Kernel(
         BatchParams, gen_batched_conv,
         lambda n, k, c, x: (n - k + 1) ** 2 * c * (2 * k**2 + 1),
         ("k", "c", "x"), BatchParams,
-        lambda p: {"model_total": models.model_batched(p.n, p.k, p.c, p.x).total}),
+        lambda p: {"model_total": p.result.total}),
     "fft": Kernel(
         FftParams, gen_fft, _fft_access_count,
         (), FftParams,

@@ -3,10 +3,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from dmclab import models
 from dmclab.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -108,6 +115,43 @@ def test_validation_errors_exit_two(tmp_path, capsys):
 
     code, _, _ = run(capsys, "analyze", str(tmp_path / "missing.dmt"))
     assert code == 2
+
+
+def test_gen_beyond_physical_memory_exit_two(tmp_path, capsys):
+    # 2e200 accesses pass the record's check; none of them is generated
+    out_path = tmp_path / "m.dmt"
+    code, _, err = run(capsys, "gen", "--alg", "matmul", "--m", "1", "--n", "1" + "0" * 200,
+                       "--l", "2", "--out", str(out_path))
+    assert code == 2
+    assert "more than this machine's" in err
+    assert not out_path.exists()
+
+
+def test_sweep_model_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    model_conv = models.model_conv
+    monkeypatch.setattr(models, "model_conv", lambda *args: calls.append(args) or model_conv(*args))
+    code, _, _ = run(capsys, "sweep", "--alg", "conv", "--n", "8..32", "--k", "3",
+                     "--out", str(tmp_path / "s.csv"))
+    assert code == 0
+    assert calls == [(8, 8, 3), (16, 16, 3), (32, 32, 3)]
+
+
+def test_trace_free_commands_never_import_numpy(tmp_path):
+    script = "\n".join([
+        "import sys",
+        "from dmclab.cli import main",
+        "assert main(['model', '--list']) == 0",
+        "assert main(['advise', 'batch', '--n', '64', '--k', '3', '--c', '4']) == 0",
+        f"assert main(['sweep', '--alg', 'conv', '--n', '8..32', '--k', '3', '--model', "
+        f"'--out', {str(tmp_path / 's.csv')!r}]) == 0",
+        "print('numpy' in sys.modules)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_sweep_model_mode(tmp_path, capsys):

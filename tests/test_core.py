@@ -1,8 +1,13 @@
 """Domain types, layout, granularity scaling, and the .dmt format."""
 
 import math
+import string
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dmclab.core import (
     AnalysisConfig,
@@ -99,12 +104,79 @@ def test_report_check_catches_inconsistency():
     good.check()
 
 
-def test_dmt_round_trip(tmp_path):
-    objs = [DataObject(0, "img data", 6), DataObject(1, "K", 2)]
-    trace = Trace(objs, [(0, 0), (1, 1), (0, 5)])
-    path = tmp_path / "t.dmt"
-    write_dmt(trace, path)
-    assert read_dmt(path) == trace
+INT64 = st.integers(-(2**63), 2**63 - 1)
+BEYOND_INT64 = st.integers(2**63, 2**70) | st.integers(-(2**70), -(2**63) - 1)
+NAMES = st.text(string.ascii_letters + string.digits + " _.#%", min_size=1, max_size=10).filter(
+    lambda name: name == name.strip() and name)
+# never an integer: no digits, and non-ASCII letters are written as UTF-8
+NOT_INTEGERS = st.text("abxyz\u00e9\u00a0\u0663", min_size=1, max_size=4)
+NON_ASCII = st.text("\u00e9\u00a0\u0663", min_size=1, max_size=3)
+
+
+@st.composite
+def dmt_traces(draw):
+    ids = draw(st.lists(INT64, min_size=1, max_size=5, unique=True))
+    objs = [DataObject(oid, draw(NAMES), draw(st.integers(1, 2**62))) for oid in ids]
+    picks = draw(st.lists(st.tuples(st.sampled_from(objs), st.integers(0, 2**62)), max_size=30))
+    return Trace(objs, [(obj.id, off % obj.size) for obj, off in picks])
+
+
+def _dmt_lines(trace: Trace) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.dmt"
+        write_dmt(trace, path)
+        return path.read_text().splitlines()
+
+
+@settings(max_examples=100, deadline=None)
+@given(dmt_traces())
+@example(Trace([DataObject(0, "img data", 6), DataObject(1, "K", 2)], [(0, 0), (1, 1), (0, 5)]))
+def test_dmt_round_trip(trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.dmt"
+        write_dmt(trace, path)
+        assert read_dmt(path) == trace
+
+
+@st.composite
+def bad_headers(draw):
+    oid, size, word = draw(INT64), draw(st.integers(1, 9)), draw(NOT_INTEGERS)
+    return draw(st.sampled_from([
+        f"%object {oid} {size}",
+        f"%object {word} {size} A",
+        f"%object {oid} {word} A",
+        f"%object {oid} {draw(st.integers(-9, 0))} A",
+        f"%object {draw(BEYOND_INT64)} {size} A",
+        f"%object {oid} {size} A{draw(NON_ASCII)}",
+    ]))
+
+
+@st.composite
+def bad_accesses(draw):
+    oid, off, word = draw(INT64), draw(INT64), draw(NOT_INTEGERS)
+    return draw(st.sampled_from([
+        f"{oid}",
+        f"{oid} {off} {off}",
+        f"{word} {off}",
+        f"{oid} {word}",
+        f"{draw(BEYOND_INT64)} {off}",
+        f"{oid} {draw(BEYOND_INT64)}",
+    ]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dmt_traces(), st.data())
+def test_corrupted_dmt_line_names_its_line(trace, data):
+    lines = _dmt_lines(trace)
+    index = data.draw(st.integers(0, len(lines) - 1))
+    header = index < len(trace.objects)
+    lines[index] = data.draw(bad_headers() if header else bad_accesses())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.dmt"
+        path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+        with pytest.raises(TraceFormatError) as exc:
+            read_dmt(path)
+    assert exc.value.line == index + 1
 
 
 def test_dmt_ignores_comments_and_blanks(tmp_path):

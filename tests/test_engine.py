@@ -3,10 +3,17 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmclab.core import AnalysisConfig, DataObject, Trace, ValidationError, build_layout
+from dmclab.core import (
+    COLD_POLICIES,
+    AnalysisConfig,
+    DataObject,
+    Trace,
+    ValidationError,
+    build_layout,
+)
 from dmclab.engine import (
     accumulate_dmd,
     analyze_trace,
@@ -136,13 +143,27 @@ def test_per_object_cold_cost_counts_source_blocks():
         pytest.approx(8**1.5 + 5**1.5))
 
 
-def test_analyze_trace_engines_agree():
-    trace = letter_trace("abcbadcbaabcd")
-    fast = analyze_trace(trace, engine="fast")
-    oracle = analyze_trace(trace, engine="oracle")
+@settings(max_examples=200, deadline=None)
+@given(traces(), st.integers(1, 8), st.sampled_from(COLD_POLICIES))
+@example(letter_trace("abcbadcbaabcd"), 1, "exclude")
+def test_analyze_trace_engines_agree(trace, block, cold):
+    config = AnalysisConfig(block_size=block, cold_policy=cold)
+    fast = analyze_trace(trace, config, engine="fast")
+    oracle = analyze_trace(trace, config, engine="oracle")
     assert fast == oracle
+    # equal in type too: reports are compared and serialised as Python numbers
+    for name in ("reuse_dmd", "cold_dmd", "n_accesses", "n_cold"):
+        assert type(getattr(fast, name)) is type(getattr(oracle, name))
+    assert all(type(d) is int and type(c) is int for d, c in fast.histogram.items())
     with pytest.raises(ValidationError):
         analyze_trace(trace, engine="magic")
+
+
+def test_fast_engine_rejects_addresses_beyond_64_bits():
+    trace = Trace([DataObject(0, "A", 2**63)], [(0, 0), (0, 1), (0, 0)])
+    with pytest.raises(ValidationError):
+        analyze_trace(trace)
+    assert analyze_trace(trace, engine="oracle").histogram == {2: 1}
 
 
 def test_analyze_trace_applies_bits_and_block():
