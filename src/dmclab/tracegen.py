@@ -294,7 +294,7 @@ def gen_batched_conv(n: int, k: int, c: int, x: int) -> Trace:
                     start = (i + y) * n + xx
                     cells += [_repeat(y * k + xx, out_n), b.arange(start, start + out_n)]
             result = b.arange(i * out_n, i * out_n + out_n)
-            b.extend(window_oids, _interleave(*(cells + [result]) * x))
+            b.extend(window_oids, _interleave(*((cells + [result]) * x)))
     return b.build()
 
 
