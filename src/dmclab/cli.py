@@ -15,7 +15,6 @@ import csv
 import itertools
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, fields, is_dataclass
 
@@ -27,6 +26,7 @@ from dmclab.core import (
     DmcError,
     TraceFormatError,
     ValidationError,
+    physical_memory,
     read_dmt,
     write_dmt,
 )
@@ -126,7 +126,7 @@ def _gen_spec(args) -> tracegen.GenSpec:
 def cmd_gen(args) -> int:
     spec = _gen_spec(args)
     count = tracegen.access_count(spec)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = physical_memory()
     if count * ACCESS_BYTES > memory:
         raise ValidationError(
             f"the trace has {count} accesses, {count * ACCESS_BYTES} bytes in memory, "

@@ -13,6 +13,7 @@ concurrent analyses.
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
@@ -52,10 +53,22 @@ class DataObject:
             raise ValidationError(f"object {self.name!r}: id {self.id} does not fit in 64 bits")
         if self.size < 1:
             raise ValidationError(f"object {self.name!r}: size must be >= 1, got {self.size}")
+        # exactly the names a .dmt header carries back unchanged
+        if not (self.name.isascii() and self.name.isprintable()
+                and self.name == self.name.strip() and self.name):
+            raise ValidationError(
+                f"object name {self.name!r} must be printable ASCII, non-empty, "
+                "without surrounding whitespace"
+            )
 
 
 # bytes a trace holds per access: one int64 in each of its two columns
 ACCESS_BYTES = 2 * array("q").itemsize
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory on this machine: no trace may need more."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class Trace:
@@ -109,15 +122,32 @@ class Trace:
             self._validate()
 
     def _validate(self):
-        sizes = {oid: obj.size for oid, obj in self._by_id.items()}
-        for i, (oid, off) in enumerate(zip(self.oids, self.offsets)):
-            size = sizes.get(oid)
-            if size is None:
-                raise ValidationError(f"access {i}: unknown object id {oid}")
-            if not 0 <= off < size:
-                raise ValidationError(
-                    f"access {i}: offset {off} out of range for object {oid} (size {size})"
-                )
+        """Raise for the first access to an unknown object id or to an
+        offset outside its object."""
+        import numpy as np
+
+        oids = np.frombuffer(self.oids, dtype=np.int64)
+        offsets = np.frombuffer(self.offsets, dtype=np.int64)
+        bad = offsets < 0
+        if self._by_id:
+            ids = np.array(sorted(self._by_id), dtype=np.int64)
+            # an offset is int64, so a size beyond 2**63 bounds nothing more
+            last = np.array([min(self._by_id[oid].size, 2**63) - 1 for oid in ids.tolist()],
+                            dtype=np.int64)
+            slot = np.minimum(np.searchsorted(ids, oids), len(ids) - 1)
+            bad |= (ids[slot] != oids) | (offsets > last[slot])
+        else:
+            bad[:] = True
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        oid, off = self.oids[i], self.offsets[i]
+        obj = self._by_id.get(oid)
+        if obj is None:
+            raise ValidationError(f"access {i}: unknown object id {oid}")
+        raise ValidationError(
+            f"access {i}: offset {off} out of range for object {oid} (size {obj.size})"
+        )
 
     @property
     def accesses(self) -> tuple[tuple[int, int], ...]:
@@ -254,55 +284,166 @@ def scale_granularity(report: DmdReport, bits: int) -> DmdReport:
 # externally produced traces.
 
 
+# accesses formatted per write, and bytes read per chunk of whole lines
+DMT_WRITE_ACCESSES = 1 << 16
+DMT_CHUNK_BYTES = 1 << 18
+# digits a canonical field may have: every such value fits in int64
+DMT_MAX_DIGITS = 18
+
+
 def write_dmt(trace: Trace, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "wb") as fh:
         for obj in trace.objects:
-            fh.write(f"%object {obj.id} {obj.size} {obj.name}\n")
-        for oid, off in zip(trace.oids, trace.offsets):
-            fh.write(f"{oid} {off}\n")
+            fh.write(f"%object {obj.id} {obj.size} {obj.name}\n".encode("ascii"))
+        step = DMT_WRITE_ACCESSES
+        for start in range(0, len(trace), step):
+            oids = trace.oids[start:start + step]
+            pairs = [0] * (2 * len(oids))
+            pairs[0::2] = oids
+            pairs[1::2] = trace.offsets[start:start + step]
+            fh.write(b"%d %d\n" * len(oids) % tuple(pairs))
 
 
 def read_dmt(path) -> Trace:
     """Parse a .dmt file into a trace, streaming accesses into its columns.
 
-    Every malformed line raises TraceFormatError with its line number;
-    an access to an undeclared object or element is reported by its
-    access index.
+    Canonical access lines, ``[-]digits SP [-]digits``, as `write_dmt`
+    writes them, are parsed a chunk at a time by numpy; every other line
+    goes through `_parse_line`, in file order.  Every malformed line
+    raises TraceFormatError with its line number, and so does the access
+    that would take the columns beyond `physical_memory()`; an access to
+    an undeclared object or element is reported by its access index.
     """
     objects: list[DataObject] = []
     oids, offsets = array("q"), array("q")
-    add_oid, add_offset = oids.append, offsets.append
-    # undecodable bytes become lone surrogates, which no integer parse accepts
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts or parts[0][0] == "#":
-                continue
-            if parts[0].startswith("%object"):
-                parts = raw.strip().split(maxsplit=3)
-                if len(parts) != 4:
-                    raise TraceFormatError("expected '%object <id> <size> <name>'", lineno)
-                if not parts[3].isascii():
-                    raise TraceFormatError("object name must be ASCII", lineno)
-                try:
-                    oid, size = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise TraceFormatError("object id and size must be integers", lineno)
-                try:
-                    objects.append(DataObject(id=oid, name=parts[3], size=size))
-                except ValidationError as exc:
-                    raise TraceFormatError(str(exc), lineno)
-                continue
-            if len(parts) != 2:
-                raise TraceFormatError("expected '<object id> <offset>'", lineno)
-            try:
-                add_oid(int(parts[0]))
-                add_offset(int(parts[1]))
-            except ValueError:
-                raise TraceFormatError("object id and offset must be integers", lineno)
-            except OverflowError:
-                raise TraceFormatError("object id and offset must fit in 64 bits", lineno)
+    memory = physical_memory()
+    limit = memory // ACCESS_BYTES
+    lineno = 0
+    with open(path, "rb") as fh:
+        for chunk in _line_chunks(fh):
+            ids, offs, lines = _parse_chunk(chunk, lineno, objects)
+            if len(oids) + len(ids) > limit:
+                line = lineno + 1 + int(lines.nonzero()[0][limit - len(oids)])
+                raise TraceFormatError(
+                    f"the trace has more than {limit} accesses, {ACCESS_BYTES} bytes each, "
+                    f"more than this machine's {memory} bytes", line)
+            oids.frombytes(ids.tobytes())
+            offsets.frombytes(offs.tobytes())
+            lineno += chunk.count(b"\n")
     try:
         return Trace.from_columns(objects, oids, offsets)
     except ValidationError as exc:
         raise TraceFormatError(str(exc))
+
+
+def _line_chunks(fh):
+    """The file's whole lines, about DMT_CHUNK_BYTES at a time, each chunk
+    ending in b"\n", with line ends translated as text mode reads them:
+    \r\n and a lone \r are b"\n"."""
+    pieces: list[bytes] = []
+    while block := fh.read(DMT_CHUNK_BYTES):
+        # a \r that ends the block may be the first half of \r\n
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+        if cut:
+            yield _newlines(b"".join([*pieces, block[:cut]]))
+            pieces = []
+        pieces.append(block[cut:])
+    if tail := b"".join(pieces):
+        yield _newlines(tail) + b"\n"
+
+
+def _newlines(text: bytes) -> bytes:
+    return text.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in text else text
+
+
+def _parse_chunk(chunk: bytes, lineno: int, objects: list[DataObject]):
+    """The object ids and offsets of the accesses in `chunk`, whole lines
+    that follow line `lineno` of the file, and a mask of its access lines."""
+    import numpy as np
+
+    buf = np.frombuffer(chunk, dtype=np.uint8)
+    delims = np.flatnonzero((buf == ord(" ")) | (buf == ord("\n")))
+    # is_newline[j + 2] tells delimiter j; two virtual newlines precede the chunk
+    is_newline = np.concatenate(([True, True], buf[delims] == ord("\n")))
+    k = np.flatnonzero(is_newline[2:])
+    end = delims[k]
+    start = np.concatenate(([0], end[:-1] + 1))
+    space = delims[k - 1]
+    # exactly one space: the delimiter before the newline is a space, and
+    # the one before that ends the previous line
+    canonical = ~is_newline[k + 1] & is_newline[k]
+    neg1 = buf[start] == ord("-")
+    neg2 = buf[np.minimum(space + 1, end)] == ord("-")
+    len1 = space - start - neg1
+    len2 = end - space - 1 - neg2
+    canonical &= (len1 >= 1) & (len1 <= DMT_MAX_DIGITS) & (len2 >= 1) & (len2 <= DMT_MAX_DIGITS)
+    if chunk.translate(None, b"0123456789 \n"):
+        # a line holding any other byte is canonical only for a leading '-'
+        allowed = np.zeros(256, dtype=bool)
+        allowed[list(b"0123456789 \n")] = True
+        other = np.flatnonzero(~allowed[buf])
+        line = np.searchsorted(end, other)
+        sign = (buf[other] == ord("-")) & ((other == start[line]) | (other == space[line] + 1))
+        canonical[line[~sign]] = False
+    ids = _field_values(buf, space, np.where(canonical, len1, 0), neg1)
+    offs = _field_values(buf, end, np.where(canonical, len2, 0), neg2)
+    keep = canonical
+    rest = np.flatnonzero(~canonical)
+    for i, a, b in zip(rest.tolist(), start[rest].tolist(), end[rest].tolist()):
+        raw = chunk[a:b + 1].decode("ascii", errors="surrogateescape")
+        access = _parse_line(raw, lineno + i + 1, objects)
+        if access is not None:
+            ids[i], offs[i] = access
+            keep[i] = True
+    if keep.all():
+        return ids, offs, keep
+    return ids[keep], offs[keep], keep
+
+
+def _field_values(buf, end, length, negative):
+    """Signed decimal values of the fields of `length` digits that end just
+    before each position `end` of `buf`; a length of 0 gives 0."""
+    import numpy as np
+
+    values = np.zeros(len(end), dtype=np.int64)
+    scale = 1
+    for t in range(int(length.max(initial=0))):
+        digit = buf[np.maximum(end - 1 - t, 0)].astype(np.int64) - ord("0")
+        digit[length <= t] = 0
+        values += digit * scale
+        scale *= 10
+    return np.where(negative, -values, values)
+
+
+def _parse_line(raw: str, lineno: int, objects: list[DataObject]) -> array | None:
+    """One .dmt line: an access ``(object id, offset)``, or None for a
+    comment, a blank line or a header, whose object joins `objects`."""
+    parts = raw.split()
+    if not parts or parts[0][0] == "#":
+        return None
+    if parts[0].startswith("%object"):
+        parts = raw.strip().split(maxsplit=3)
+        if len(parts) != 4:
+            raise TraceFormatError("expected '%object <id> <size> <name>'", lineno)
+        if not parts[3].isascii():
+            raise TraceFormatError("object name must be ASCII", lineno)
+        try:
+            oid, size = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise TraceFormatError("object id and size must be integers", lineno)
+        try:
+            objects.append(DataObject(id=oid, name=parts[3], size=size))
+        except ValidationError as exc:
+            raise TraceFormatError(str(exc), lineno)
+        return None
+    if len(parts) != 2:
+        raise TraceFormatError("expected '<object id> <offset>'", lineno)
+    access = array("q")
+    try:
+        access.append(int(parts[0]))
+        access.append(int(parts[1]))
+    except ValueError:
+        raise TraceFormatError("object id and offset must be integers", lineno)
+    except OverflowError:
+        raise TraceFormatError("object id and offset must fit in 64 bits", lineno)
+    return access

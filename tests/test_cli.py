@@ -127,6 +127,18 @@ def test_gen_beyond_physical_memory_exit_two(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_analyze_beyond_physical_memory_exit_two(tmp_path, capsys, monkeypatch):
+    from dmclab import core
+
+    monkeypatch.setattr(core, "physical_memory", lambda: 2 * core.ACCESS_BYTES)
+    path = tmp_path / "t.dmt"
+    path.write_text("%object 0 4 A\n0 0\n# c\n0 1\n0 2\n0 3\n")
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert err.startswith("dmclab: trace error: line 5: ")
+    assert "more than this machine's" in err
+
+
 def test_sweep_model_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
     calls = []
     model_conv = models.model_conv
