@@ -64,6 +64,8 @@ class DataObject:
 
 # bytes a trace holds per access: one int64 in each of its two columns
 ACCESS_BYTES = 2 * array("q").itemsize
+# accesses `Trace._validate` checks per numpy pass
+VALIDATE_ACCESSES = 1 << 16
 
 
 def physical_memory() -> int:
@@ -126,21 +128,25 @@ class Trace:
         offset outside its object."""
         import numpy as np
 
+        ids = np.array(sorted(self._by_id), dtype=np.int64)
+        # an offset is int64, so a size beyond 2**63 bounds nothing more
+        last = np.array([min(self._by_id[oid].size, 2**63) - 1 for oid in ids.tolist()],
+                        dtype=np.int64)
         oids = np.frombuffer(self.oids, dtype=np.int64)
         offsets = np.frombuffer(self.offsets, dtype=np.int64)
-        bad = offsets < 0
-        if self._by_id:
-            ids = np.array(sorted(self._by_id), dtype=np.int64)
-            # an offset is int64, so a size beyond 2**63 bounds nothing more
-            last = np.array([min(self._by_id[oid].size, 2**63) - 1 for oid in ids.tolist()],
-                            dtype=np.int64)
-            slot = np.minimum(np.searchsorted(ids, oids), len(ids) - 1)
-            bad |= (ids[slot] != oids) | (offsets > last[slot])
-        else:
-            bad[:] = True
-        if not bad.any():
-            return
-        i = int(np.argmax(bad))
+        if len(oids) and not len(ids):
+            self._reject(0)
+        # a slice at a time, so that the temporaries stay small
+        for start in range(0, len(oids), VALIDATE_ACCESSES):
+            oid = oids[start:start + VALIDATE_ACCESSES]
+            off = offsets[start:start + VALIDATE_ACCESSES]
+            slot = np.minimum(np.searchsorted(ids, oid), len(ids) - 1)
+            bad = (off < 0) | (ids[slot] != oid) | (off > last[slot])
+            if bad.any():
+                self._reject(start + int(np.argmax(bad)))
+
+    def _reject(self, i: int):
+        """Raise for access `i`, which is invalid."""
         oid, off = self.oids[i], self.offsets[i]
         obj = self._by_id.get(oid)
         if obj is None:
@@ -285,8 +291,8 @@ def scale_granularity(report: DmdReport, bits: int) -> DmdReport:
 
 
 # accesses formatted per write, and bytes read per chunk of whole lines
-DMT_WRITE_ACCESSES = 1 << 16
-DMT_CHUNK_BYTES = 1 << 18
+DMT_WRITE_ACCESSES = 1 << 14
+DMT_CHUNK_BYTES = 1 << 16
 # digits a canonical field may have: every such value fits in int64
 DMT_MAX_DIGITS = 18
 
