@@ -396,6 +396,7 @@ def _parse_chunk(chunk: bytes, lineno: int, objects: list[DataObject]):
     keep = canonical
     rest = np.flatnonzero(~canonical)
     for i, a, b in zip(rest.tolist(), start[rest].tolist(), end[rest].tolist()):
+        # undecodable bytes become lone surrogates, which no integer parse accepts
         raw = chunk[a:b + 1].decode("ascii", errors="surrogateescape")
         access = _parse_line(raw, lineno + i + 1, objects)
         if access is not None:
