@@ -342,14 +342,15 @@ def traces_with_one_bad_access(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(traces_with_one_bad_access())
-@example(([DataObject(0, "A", 4)], [(0, 99)]))
-@example(([DataObject(0, "A", 4)], [(1, 0)]))
-@example(([DataObject(0, "A", 2**70)], [(0, 2**63 - 1), (0, -1)]))
-def test_vectorised_validation_matches_per_access_loop(case):
+@given(traces_with_one_bad_access(), st.integers(1, 8))
+@example(([DataObject(0, "A", 4)], [(0, 99)]), 8)
+@example(([DataObject(0, "A", 4)], [(1, 0)]), 8)
+@example(([DataObject(0, "A", 2**70)], [(0, 2**63 - 1), (0, -1)]), 8)
+def test_vectorised_validation_matches_per_access_loop(case, slice_accesses):
     objs, accesses = case
-    with pytest.raises(ValidationError) as exc:
-        Trace(objs, accesses)
+    with mock.patch.object(core, "VALIDATE_ACCESSES", slice_accesses):
+        with pytest.raises(ValidationError) as exc:
+            Trace(objs, accesses)
     assert str(exc.value) == _first_bad_access(objs, accesses)
 
 
