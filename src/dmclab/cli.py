@@ -400,10 +400,7 @@ def main(argv=None) -> int:
     except TraceFormatError as exc:
         print(f"dmclab: trace error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except DmcError as exc:
-        print(f"dmclab: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except FileNotFoundError as exc:
+    except (DmcError, OSError, OverflowError) as exc:
         print(f"dmclab: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -313,113 +313,71 @@ def write_dmt(trace: Trace, path) -> None:
 def read_dmt(path) -> Trace:
     """Parse a .dmt file into a trace, streaming accesses into its columns.
 
-    Canonical access lines, ``[-]digits SP [-]digits``, as `write_dmt`
-    writes them, are parsed a chunk at a time by numpy; every other line
-    goes through `_parse_line`, in file order.  Every malformed line
-    raises TraceFormatError with its line number, and so does the access
-    that would take the columns beyond `physical_memory()`; an access to
-    an undeclared object or element is reported by its access index.
+    The file is read about DMT_CHUNK_BYTES of whole lines at a time.  A
+    chunk whose every line is a canonical access (`_canonical`), as
+    `write_dmt` writes them, is parsed by numpy in one call; any other
+    chunk goes through `_parse_line`, the definition of the format, a
+    line at a time.  Every malformed line raises TraceFormatError with its
+    line number, and so does the access that would take the columns
+    beyond `physical_memory()`; an access to an undeclared object or
+    element is reported by its access index.
     """
+    import numpy as np
+
     objects: list[DataObject] = []
     oids, offsets = array("q"), array("q")
     memory = physical_memory()
     limit = memory // ACCESS_BYTES
     lineno = 0
-    with open(path, "rb") as fh:
-        for chunk in _line_chunks(fh):
-            ids, offs, lines = _parse_chunk(chunk, lineno, objects)
-            if len(oids) + len(ids) > limit:
-                line = lineno + 1 + int(lines.nonzero()[0][limit - len(oids)])
+    # text mode ends a line at \r\n and a lone \r too; undecodable bytes
+    # become lone surrogates, which no integer parse accepts
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        while raw := fh.read(DMT_CHUNK_BYTES):
+            raw += fh.readline()
+            text = raw.encode("ascii", errors="surrogateescape")
+            if _canonical(text):
+                values = np.fromstring(text, dtype=np.int64, sep=" ")
+                lines = range(lineno + 1, lineno + 1 + len(values) // 2)
+            else:
+                values, lines = array("q"), []
+                for i, line in enumerate(raw.split("\n"), start=lineno + 1):
+                    access = _parse_line(line, i, objects)
+                    if access is not None:
+                        values.extend(access)
+                        lines.append(i)
+                values = np.frombuffer(values, dtype=np.int64)
+            if len(oids) + len(lines) > limit:
                 raise TraceFormatError(
                     f"the trace has more than {limit} accesses, {ACCESS_BYTES} bytes each, "
-                    f"more than this machine's {memory} bytes", line)
-            oids.frombytes(ids.tobytes())
-            offsets.frombytes(offs.tobytes())
-            lineno += chunk.count(b"\n")
+                    f"more than this machine's {memory} bytes", lines[limit - len(oids)])
+            oids.frombytes(values[0::2].tobytes())
+            offsets.frombytes(values[1::2].tobytes())
+            lineno += text.count(b"\n")
     try:
         return Trace.from_columns(objects, oids, offsets)
     except ValidationError as exc:
         raise TraceFormatError(str(exc))
 
 
-def _line_chunks(fh):
-    """The file's whole lines, about DMT_CHUNK_BYTES at a time, each chunk
-    ending in b"\n", with line ends translated as text mode reads them:
-    \r\n and a lone \r are b"\n"."""
-    pieces: list[bytes] = []
-    while block := fh.read(DMT_CHUNK_BYTES):
-        # a \r that ends the block may be the first half of \r\n
-        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
-        if cut:
-            yield _newlines(b"".join([*pieces, block[:cut]]))
-            pieces = []
-        pieces.append(block[cut:])
-    if tail := b"".join(pieces):
-        yield _newlines(tail) + b"\n"
-
-
-def _newlines(text: bytes) -> bytes:
-    return text.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in text else text
-
-
-def _parse_chunk(chunk: bytes, lineno: int, objects: list[DataObject]):
-    """The object ids and offsets of the accesses in `chunk`, whole lines
-    that follow line `lineno` of the file, and a mask of its access lines."""
+def _canonical(text: bytes) -> bool:
+    """Whether `text` is whole lines, each a canonical access
+    ``[-]digits SP [-]digits`` of at most DMT_MAX_DIGITS digits a field:
+    the lines that numpy's integer parser reads as `_parse_line` does."""
     import numpy as np
 
-    buf = np.frombuffer(chunk, dtype=np.uint8)
-    delims = np.flatnonzero((buf == ord(" ")) | (buf == ord("\n")))
-    # is_newline[j + 2] tells delimiter j; two virtual newlines precede the chunk
-    is_newline = np.concatenate(([True, True], buf[delims] == ord("\n")))
-    k = np.flatnonzero(is_newline[2:])
-    end = delims[k]
-    start = np.concatenate(([0], end[:-1] + 1))
-    space = delims[k - 1]
-    # exactly one space: the delimiter before the newline is a space, and
-    # the one before that ends the previous line
-    canonical = ~is_newline[k + 1] & is_newline[k]
-    neg1 = buf[start] == ord("-")
-    neg2 = buf[np.minimum(space + 1, end)] == ord("-")
-    len1 = space - start - neg1
-    len2 = end - space - 1 - neg2
-    canonical &= (len1 >= 1) & (len1 <= DMT_MAX_DIGITS) & (len2 >= 1) & (len2 <= DMT_MAX_DIGITS)
-    if chunk.translate(None, b"0123456789 \n"):
-        # a line holding any other byte is canonical only for a leading '-'
-        allowed = np.zeros(256, dtype=bool)
-        allowed[list(b"0123456789 \n")] = True
-        other = np.flatnonzero(~allowed[buf])
-        line = np.searchsorted(end, other)
-        sign = (buf[other] == ord("-")) & ((other == start[line]) | (other == space[line] + 1))
-        canonical[line[~sign]] = False
-    ids = _field_values(buf, space, np.where(canonical, len1, 0), neg1)
-    offs = _field_values(buf, end, np.where(canonical, len2, 0), neg2)
-    keep = canonical
-    rest = np.flatnonzero(~canonical)
-    for i, a, b in zip(rest.tolist(), start[rest].tolist(), end[rest].tolist()):
-        # undecodable bytes become lone surrogates, which no integer parse accepts
-        raw = chunk[a:b + 1].decode("ascii", errors="surrogateescape")
-        access = _parse_line(raw, lineno + i + 1, objects)
-        if access is not None:
-            ids[i], offs[i] = access
-            keep[i] = True
-    if keep.all():
-        return ids, offs, keep
-    return ids[keep], offs[keep], keep
-
-
-def _field_values(buf, end, length, negative):
-    """Signed decimal values of the fields of `length` digits that end just
-    before each position `end` of `buf`; a length of 0 gives 0."""
-    import numpy as np
-
-    values = np.zeros(len(end), dtype=np.int64)
-    scale = 1
-    for t in range(int(length.max(initial=0))):
-        digit = buf[np.maximum(end - 1 - t, 0)].astype(np.int64) - ord("0")
-        digit[length <= t] = 0
-        values += digit * scale
-        scale *= 10
-    return np.where(negative, -values, values)
+    if not text.endswith(b"\n") or text.translate(None, b"0123456789 -\n"):
+        return False
+    buf = np.frombuffer(text, dtype=np.uint8)
+    ends = np.flatnonzero((buf == ord(" ")) | (buf == ord("\n")))
+    # each line is one field, a space, one field and a newline
+    if (buf[ends[0::2]] != ord(" ")).any() or (buf[ends[1::2]] != ord("\n")).any():
+        return False
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    negative = buf[starts] == ord("-")
+    digits = ends - starts - negative
+    # and a '-' only opens a field
+    return bool(digits.min() >= 1 and digits.max() <= DMT_MAX_DIGITS
+                and np.count_nonzero(negative) == text.count(b"-"))
 
 
 def _parse_line(raw: str, lineno: int, objects: list[DataObject]) -> array | None:
@@ -428,7 +386,7 @@ def _parse_line(raw: str, lineno: int, objects: list[DataObject]) -> array | Non
     parts = raw.split()
     if not parts or parts[0][0] == "#":
         return None
-    if parts[0].startswith("%object"):
+    if parts[0] == "%object":
         parts = raw.strip().split(maxsplit=3)
         if len(parts) != 4:
             raise TraceFormatError("expected '%object <id> <size> <name>'", lineno)

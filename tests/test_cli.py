@@ -117,6 +117,26 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{dir}"],
+    ["gen", "--alg", "fft", "--n", "4", "--out", "{dir}"],
+    ["analyze", "{trace}", "--report", "{dir}"],
+    ["model", "matmul", "--m", "1", "--n", HUGE, "--l", "1"],
+    ["analyze", "{trace}", "--bits", HUGE],
+    ["advise", "gqa-dim", "--budget", "1e5", "--heads", "8", "--q", "2", "--l", HUGE],
+])
+def test_os_and_overflow_errors_exit_two(tmp_path, capsys, argv):
+    trace_path = tmp_path / "t.dmt"
+    trace_path.write_text("%object 0 2 A\n0 1\n0 1\n")
+    argv = [arg.format(dir=tmp_path, trace=trace_path) for arg in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("dmclab: ")
+
+
 def test_gen_beyond_physical_memory_exit_two(tmp_path, capsys):
     # 2e200 accesses pass the record's check; none of them is generated
     out_path = tmp_path / "m.dmt"

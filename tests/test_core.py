@@ -242,7 +242,7 @@ def dmt_lines(draw):
         return draw(st.sampled_from(["", " ", "\t", " \t "]))
     return draw(st.sampled_from(["x y", "1 2 3", "1", "-", "- 1", "1 -", "1_0 2", "1 1.5",
                                  "\u00e9 1", "1 2\x00", "--1 2", "1-2 3", "0 2-", "1 -+2",
-                                 "%object 0 1"]))
+                                 "%object 0 1", "%objectfoo 0 4 A"]))
 
 
 LINE_ENDS = st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=25, max_size=25)
@@ -252,9 +252,17 @@ LINE_ENDS = st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=25, max_siz
 @given(st.lists(dmt_lines(), max_size=25), LINE_ENDS, st.booleans(), st.integers(1, 64))
 # a \r\n split across two reads is one line end
 @example(["0 1", "x y"], ["\r\n"] * 25, True, 19)
-@example(["0 1", "--1 2"], ["\n"] * 25, True, 64)
-@example(["0 1", "1-2 3"], ["\n"] * 25, True, 64)
-@example(["0 1", f"{2**63} 1"], ["\n"] * 25, True, 64)
+# 14 bytes: the header is a chunk of its own, and both accesses are one chunk
+# that is canonical or only just not
+@example(["0 1", f"{-(10**18 - 1)} 1"], ["\n"] * 25, True, 14)
+@example(["0 1", "--1 2"], ["\n"] * 25, True, 14)
+@example(["0 1", "1-2 3"], ["\n"] * 25, True, 14)
+@example(["0 1", "- 1"], ["\n"] * 25, True, 14)
+@example(["0 1", "0 1 0 1"], ["\n"] * 25, True, 14)
+@example(["0 1", "0", "1"], ["\n"] * 25, True, 14)
+@example(["0 1", "0"], ["\n"] * 25, False, 14)
+@example(["0 1", f"{2**63} 1"], ["\n"] * 25, True, 14)
+@example(["0 1", "%object 1 2 B", "1 1"], ["\n"] * 25, True, 64)
 def test_chunked_reader_matches_line_by_line_parse(lines, ends, final_newline, chunk_bytes):
     text = "%object 0 40 A\n" + "".join(line + end for line, end in zip(lines, ends))
     if not final_newline:
@@ -282,6 +290,7 @@ def test_dmt_ignores_comments_and_blanks(tmp_path):
         ("%object 0 2 A\n0\n", 2),
         ("%object 0 2 A\n0 one\n", 2),
         ("%object 0 0 A\n", 1),
+        ("%objectfoo 0 4 A\n0 1\n", 1),
     ],
 )
 def test_dmt_errors_carry_line_numbers(tmp_path, text, line):
@@ -299,10 +308,14 @@ def test_dmt_out_of_range_access_is_format_error(tmp_path):
         read_dmt(path)
 
 
-def test_reader_stops_beyond_physical_memory(tmp_path):
+# the whole file is one chunk, read line by line; at 1 byte each access is a
+# canonical chunk of its own; at 22 bytes the last two accesses are one
+@pytest.mark.parametrize("chunk_bytes", [core.DMT_CHUNK_BYTES, 1, 22])
+def test_reader_stops_beyond_physical_memory(tmp_path, chunk_bytes):
     path = tmp_path / "t.dmt"
     path.write_text("%object 0 4 A\n0 0\n0 1\n# tail\n0 2\n0 3\n")
-    with mock.patch.object(core, "physical_memory", lambda: 3 * core.ACCESS_BYTES):
+    with mock.patch.object(core, "physical_memory", lambda: 3 * core.ACCESS_BYTES), \
+            mock.patch.object(core, "DMT_CHUNK_BYTES", chunk_bytes):
         with pytest.raises(TraceFormatError, match="more than this machine's") as exc:
             read_dmt(path)
     assert exc.value.line == 6
