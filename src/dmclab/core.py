@@ -290,9 +290,11 @@ def scale_granularity(report: DmdReport, bits: int) -> DmdReport:
 # externally produced traces.
 
 
-# accesses formatted per write, and bytes read per chunk of whole lines
+# accesses formatted per write, and bytes read per chunk of whole lines; at
+# 32 KiB of the lines `write_dmt` writes, a chunk's int64 index arrays stay
+# below glibc's 128 KiB mmap threshold and reuse heap pages
 DMT_WRITE_ACCESSES = 1 << 14
-DMT_CHUNK_BYTES = 1 << 16
+DMT_CHUNK_BYTES = 1 << 15
 # digits a canonical field may have: every such value fits in int64
 DMT_MAX_DIGITS = 18
 
