@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
@@ -40,7 +41,7 @@ class TraceFormatError(DmcError):
 COLD_POLICIES = ("exclude", "footprint_bound", "per_object")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataObject:
     """A named array of `size` abstract data elements."""
 
@@ -161,9 +162,14 @@ class Trace:
         return tuple(zip(self.oids, self.offsets))
 
     def touched_objects(self) -> list[DataObject]:
-        """Objects that appear in at least one access, in id order."""
-        seen = set(self.oids)
-        return [obj for obj in self.objects if obj.id in seen]
+        """Objects that appear in at least one access, in declaration order."""
+        import numpy as np
+
+        ids = np.array([obj.id for obj in self.objects], dtype=np.int64)
+        # a lookup table over the touched ids' range; only a range wider than
+        # six times the trace makes np.isin sort instead, which loads numpy.ma
+        touched = np.isin(ids, np.frombuffer(self.oids, dtype=np.int64))
+        return [obj for obj, hit in zip(self.objects, touched.tolist()) if hit]
 
     def __len__(self) -> int:
         return len(self.oids)
@@ -382,9 +388,19 @@ def _canonical(text: bytes) -> bool:
                 and np.count_nonzero(negative) == text.count(b"-"))
 
 
+# every ASCII control character but tab and the newline that ends a line
+_CONTROL = re.compile("[\x00-\x08\x0b-\x1f\x7f]")
+
+
 def _parse_line(raw: str, lineno: int, objects: list[DataObject]) -> array | None:
     """One .dmt line: an access ``(object id, offset)``, or None for a
     comment, a blank line or a header, whose object joins `objects`."""
+    # fields are separated by spaces and tabs only: str.split() would also
+    # split at the control characters that Python counts as whitespace
+    control = _CONTROL.search(raw)
+    if control:
+        raise TraceFormatError(f"control character {control.group()!r}; "
+                               "only spaces and tabs separate fields", lineno)
     parts = raw.split()
     if not parts or parts[0][0] == "#":
         return None

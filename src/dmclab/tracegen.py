@@ -12,6 +12,12 @@ evaluates the model, which raises ValidationError on an invalid set.
 Every record that exists is valid, so generators trust their arguments.
 The record keeps that evaluation as its `result` attribute, outside its
 fields, so sweeps read the model columns without evaluating it again.
+
+The loop-nest generators append whole loop columns to `array('q')`
+columns.  The recursive FFT generators know each call's place in the
+trace from its parent's, so they write one recursion depth at a time
+into columns allocated at the trace's exact length.  They use numpy,
+imported inside them, so the commands that make no trace never load it.
 """
 
 from __future__ import annotations
@@ -121,7 +127,9 @@ class _TraceBuilder:
     Generators emit a loop's accesses a column at a time: the offsets one
     body position touches over all iterations are one arithmetic column
     (`arange`), and `_interleave` lays the body's columns out in
-    iteration order.
+    iteration order.  A generator that knows where each access goes
+    instead `allocate`s the columns at their exact length and `_place`s
+    the accesses.
     """
 
     def __init__(self):
@@ -149,6 +157,14 @@ class _TraceBuilder:
     def extend(self, oids: array, offsets: array) -> None:
         self.oids.extend(oids)
         self.offsets.extend(offsets)
+
+    def allocate(self, count: int) -> tuple:
+        """Make the columns `count` accesses long and return writable
+        numpy views of them, for a generator that places its accesses."""
+        import numpy as np
+
+        self.oids, self.offsets = _repeat(0, count), _repeat(0, count)
+        return np.frombuffer(self.oids, dtype=np.int64), np.frombuffer(self.offsets, dtype=np.int64)
 
     def build(self) -> Trace:
         # generators index within declared bounds by construction
@@ -298,44 +314,91 @@ def gen_batched_conv(n: int, k: int, c: int, x: int) -> Trace:
     return b.build()
 
 
-def _fft_recurse(
-    b: _TraceBuilder,
-    src: tuple[array, array],
-    omega: Optional[int],
-    n_root: int,
-    label: str,
-) -> tuple[int, array]:
-    """Emit accesses of one recursive transform call over `src` elements.
+def _place(columns: tuple, starts, width: int, *accesses) -> None:
+    """Write into `columns`, numpy views of a trace's two columns, `width`
+    iterations of a loop body per row k of the arrays, from position
+    starts[k] on.  An access of the body is an (object ids, offsets) pair
+    of arrays that broadcast to (len(starts), width)."""
+    import numpy as np
 
-    `src` is the call's input as (object ids, offsets) columns.  Divide
-    phase: fresh even/odd copy objects per call, even copies emitted
-    just before the even recursive call, odd copies just before the odd
-    one.  Conquer phase reads the two child results and the shared
-    root-of-unity table, writing both output halves.  Returns the call's
-    output, one object and the offsets of its elements in order; base
-    case returns its input after a single read.
+    where = (starts[:, None] + np.arange(width * len(accesses))).ravel()
+    for column, part in zip(columns, (0, 1)):
+        block = np.empty((len(starts), width, len(accesses)), dtype=np.int64)
+        for i, access in enumerate(accesses):
+            block[:, :, i] = access[part]
+        column[where] = block.ravel()
+
+
+def _fft_fill(
+    b: _TraceBuilder,
+    columns: tuple,
+    at: int,
+    omega: Optional[int],
+    src: tuple,
+    labels: list[str],
+) -> tuple:
+    """Emit len(labels) recursive radix-2 transforms of one size n in
+    sequence, from trace position `at` of `columns`, the trace's numpy
+    views of its two columns; each transform's objects join `b`.
+
+    `src` holds the transforms' inputs as (object ids, offsets) arrays of
+    shape (transforms, n).  A call of size m > 1 copies its even inputs
+    into a fresh `.even` object, recurses on it, does the same for the odd
+    inputs, then conquers: per output pair it reads both child results
+    and the shared root-of-unity table and writes both halves of a fresh
+    `.y` object.  A call of size 1 reads its input.  Returns the outputs
+    in the shape of `src`: a call's `.y`, or its input when n = 1.
+
+    The calls are emitted one recursion depth at a time.  A call of size
+    m spans A(m) = 9m/2 + 2 A(m/2) accesses (A(1) = 1) and creates
+    O(m) = 3(m - 1) objects, so with h = m/2, a call at position P whose
+    first object id is Q has its even copies at P and its even child at
+    P + m, its odd copies at P + m + A(h) and its odd child at
+    P + 2m + A(h), and conquers at P + 2m + 2 A(h); its `.even` is Q, its
+    `.odd` is Q + 1 + O(h) and its `.y` is Q + 2 + 2 O(h).
     """
-    src_oids, src_offsets = src
-    n = len(src_offsets)
+    import numpy as np
+
+    in_oids, in_offsets = src
+    count, n = in_oids.shape
+    first = len(b.objects)
+    per_call = 3 * (n - 1)
+    names = np.empty(count * per_call, dtype=object)
+    sizes = np.empty(count * per_call, dtype=np.int64)
+
+    starts = at + _fft_access_count(n) * np.arange(count)
+    ids = first + per_call * np.arange(count)  # each call's first object id
+    m = n
+    while m > 1:
+        h = m // 2
+        sub_accesses, sub_objects = _fft_access_count(h), 3 * (h - 1)
+        even, odd = ids, ids + 1 + sub_objects
+        y = odd + 1 + sub_objects
+        col = np.arange(h)
+        _place(columns, starts, h, (in_oids[:, 0::2], in_offsets[:, 0::2]), (even[:, None], col))
+        _place(columns, starts + m + sub_accesses, h,
+               (in_oids[:, 1::2], in_offsets[:, 1::2]), (odd[:, None], col))
+        # a child's result is the last object of its subtree, its copy if h = 1
+        _place(columns, starts + 2 * m + 2 * sub_accesses, h,
+               ((even + sub_objects)[:, None], col), (omega, col * (n // m)),
+               ((odd + sub_objects)[:, None], col), (y[:, None], col), (y[:, None], col + h))
+        for made, suffix, size in ((even, ".even", h), (odd, ".odd", h), (y, ".y", m)):
+            names[made - first] = np.array([label + suffix for label in labels], dtype=object)
+            sizes[made - first] = size
+        starts = np.stack([starts + m, starts + 2 * m + sub_accesses], axis=1).ravel()
+        ids = np.stack([even + 1, odd + 1], axis=1).ravel()
+        copies = np.stack([even, odd], axis=1).reshape(-1, 1)
+        in_oids, in_offsets = np.broadcast_arrays(copies, col)
+        labels = [label + child for label in labels for child in (".e", ".o")]
+        m = h
+    _place(columns, starts, 1, (in_oids[:, :1], in_offsets[:, :1]))
+    b.objects.extend(map(DataObject, range(first, first + len(names)), names.tolist(),
+                         sizes.tolist()))
     if n == 1:
-        b.access(src_oids[0], src_offsets[0])
-        return src_oids[0], src_offsets
-    half = n // 2
-    children = []
-    for parity, name in ((0, "even"), (1, "odd")):
-        copy = b.new_object(f"{label}.{name}", half)
-        b.extend(_interleave(src_oids[parity::2], _repeat(copy, half)),
-                 _interleave(src_offsets[parity::2], b.arange(0, half)))
-        children.append(_fft_recurse(b, (_repeat(copy, half), b.arange(0, half)),
-                                     omega, n_root, label + "." + name[0]))
-    (even, even_offsets), (odd, odd_offsets) = children
-    y = b.new_object(f"{label}.y", n)
-    b.extend(
-        array("q", [even, omega, odd, y, y]) * half,
-        _interleave(even_offsets, b.arange(0, n_root // 2, n_root // n), odd_offsets,
-                    b.arange(0, half), b.arange(half, n)),
-    )
-    return y, b.arange(0, n)
+        return src
+    results = first + per_call * np.arange(count) + per_call - 1
+    return (np.broadcast_to(results[:, None], (count, n)),
+            np.broadcast_to(np.arange(n), (count, n)))
 
 
 def gen_fft(n: int) -> Trace:
@@ -344,10 +407,13 @@ def gen_fft(n: int) -> Trace:
     The root-of-unity table is one global object of size n/2, indexed so
     a call of size N touches entries 0, n/N, 2n/N, ...
     """
+    import numpy as np
+
     b = _TraceBuilder()
     a_obj = b.new_object("A", n)
     omega = b.new_object("omega", n // 2) if n > 1 else None
-    _fft_recurse(b, (_repeat(a_obj, n), b.arange(0, n)), omega, n, "f")
+    columns = b.allocate(_fft_access_count(n))
+    _fft_fill(b, columns, 0, omega, (np.full((1, n), a_obj), np.arange(n)[None, :]), ["f"])
     return b.build()
 
 
@@ -358,36 +424,33 @@ def gen_fft_conv2d(n: int) -> Trace:
     A 2D transform is n row transforms followed by n column transforms
     over the row results.  The inverse has identical memory behaviour to
     the forward pass, so it is emitted as one more forward transform.
-    A grid is a list of rows, each row (object ids, offsets) columns.
+    A grid is (object ids, offsets) arrays of shape (n, n).
     """
+    import numpy as np
+
     b = _TraceBuilder()
     ker = b.new_object("Kpad", n * n)
     img = b.new_object("I", n * n)
     omega = b.new_object("omega", n // 2) if n > 1 else None
+    columns = b.allocate(_fftconv2d_count(n))
+    per_pass = n * _fft_access_count(n)  # accesses of n transforms
+    cells = np.arange(n * n).reshape(n, n)
 
-    def column(outputs: list, c: int) -> tuple[array, array]:
-        return (array("q", [oid for oid, _ in outputs]),
-                array("q", [offsets[c] for _, offsets in outputs]))
+    def transform2d(oid: int, at: int, label: str) -> tuple:
+        grid = (np.full((n, n), oid), cells)
+        rows = _fft_fill(b, columns, at, omega, grid, [f"{label}.r{r}" for r in range(n)])
+        cols = _fft_fill(b, columns, at + per_pass, omega, (rows[0].T, rows[1].T),
+                         [f"{label}.c{c}" for c in range(n)])
+        return cols[0].T, cols[1].T
 
-    def transform2d(grid: list, label: str) -> list:
-        rows = [
-            _fft_recurse(b, grid[r], omega, n, f"{label}.r{r}") for r in range(n)
-        ]
-        cols = [
-            _fft_recurse(b, column(rows, c), omega, n, f"{label}.c{c}") for c in range(n)
-        ]
-        return [column(cols, r) for r in range(n)]
-
-    def obj_grid(oid: int) -> list:
-        return [(_repeat(oid, n), b.arange(r * n, r * n + n)) for r in range(n)]
-
-    ker_t = transform2d(obj_grid(ker), "K")
-    img_t = transform2d(obj_grid(img), "I")
+    ker_t = transform2d(ker, 0, "K")
+    img_t = transform2d(img, 2 * per_pass, "I")
     prod = b.new_object("P", n * n)
-    for r, ((ker_oids, ker_offsets), (img_oids, img_offsets)) in enumerate(zip(ker_t, img_t)):
-        b.extend(_interleave(ker_oids, img_oids, _repeat(prod, n)),
-                 _interleave(ker_offsets, img_offsets, b.arange(r * n, r * n + n)))
-    transform2d(obj_grid(prod), "P")
+    at = 4 * per_pass
+    _place(columns, np.array([at]), n * n,
+           (ker_t[0].ravel(), ker_t[1].ravel()), (img_t[0].ravel(), img_t[1].ravel()),
+           (prod, cells.ravel()))
+    transform2d(prod, at + 3 * n * n, "P")
     return b.build()
 
 

@@ -291,6 +291,13 @@ def test_dmt_ignores_comments_and_blanks(tmp_path):
         ("%object 0 2 A\n0 one\n", 2),
         ("%object 0 0 A\n", 1),
         ("%objectfoo 0 4 A\n0 1\n", 1),
+        # only spaces and tabs separate fields, in headers too
+        ("%object 0 2 A\n0\x1c1\n", 2),
+        ("%object 0 2 A\n0\x0b 1\n", 2),
+        ("%object 0 2 A\n0 1\x0c\n", 2),
+        ("%object 0 2 A\n0 1\n\x1d0\x1e1\x1f\n", 3),
+        ("%object\x0c0 2 A\n0 1\n", 1),
+        ("%object 0 2\x1fA\n0 1\n", 1),
     ],
 )
 def test_dmt_errors_carry_line_numbers(tmp_path, text, line):

@@ -1,11 +1,14 @@
 """Trace generators: exact lengths, determinism, and access structure."""
 
+import hashlib
 import io
 
 import pytest
 
 from dmclab.core import ValidationError, write_dmt
 from dmclab.engine import analyze_trace, stack_distances_fast
+import numpy as np
+
 from dmclab.tracegen import (
     BatchParams,
     ConvParams,
@@ -17,6 +20,7 @@ from dmclab.tracegen import (
     gen_batched_conv,
     gen_conv,
     gen_fft,
+    gen_fft_conv2d,
     gen_matmul,
     generate,
 )
@@ -153,14 +157,20 @@ def test_fftconv2d_shares_one_root_table():
     assert omegas[0].size == 2
 
 
-def test_fftconv2d_product_phase_is_triples():
-    n = 2
+@pytest.mark.parametrize("n", [2, 4])
+def test_fftconv2d_product_phase_is_triples(n):
+    # after the kernel's and the image's 2D transforms, each of 2n transforms
+    # of size n, come n*n triples: read K^[r][c] and I^[r][c], the outputs
+    # of the column transforms, then write P[r*n + c]
     trace = generate(GenSpec("fftconv2d", FftParams(n)))
-    prod = next(obj.id for obj in trace.objects if obj.name == "P")
-    writes = [i for i, (oid, _) in enumerate(trace.accesses) if oid == prod]
-    # first n*n touches of P are the pointwise-product writes, each
-    # preceded by one transformed-kernel and one transformed-image read
-    assert writes[2] - writes[1] == 3 or len(writes) >= n * n
+    ids = {obj.name: obj.id for obj in trace.objects}
+    start = 4 * n * access_count(GenSpec("fft", FftParams(n)))
+    expected = []
+    for r in range(n):
+        for c in range(n):
+            expected += [(ids[f"K.c{c}.y"], r), (ids[f"I.c{c}.y"], r), (ids["P"], r * n + c)]
+    assert list(trace.accesses[start:start + 3 * n * n]) == expected
+    assert ids["P"] not in {oid for oid, _ in trace.accesses[:start]}
 
 
 def test_traces_round_trip_through_dmt(tmp_path):
@@ -179,3 +189,44 @@ def test_distances_well_formed_on_all_generators():
         distances = stack_distances_fast(trace)
         n_cold = sum(1 for d in distances if d is None)
         assert n_cold == len({a for a in trace.accesses})
+
+
+def _digest(trace) -> str:
+    """sha256 of the object table, an `id name size` line per object, and
+    then of both columns as little-endian int64."""
+    h = hashlib.sha256()
+    for obj in trace.objects:
+        h.update(f"{obj.id} {obj.name} {obj.size}\n".encode("ascii"))
+    for column in (trace.oids, trace.offsets):
+        h.update(np.frombuffer(column, dtype=np.int64).astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+# the traces of the call-by-call recursive generators these replaced
+FFT_DIGESTS = [
+    ("fft", 1, "a22dced8c3333688e3bdaa8a620b4892981f56f81f07d0a6c879c14dc11f1ec3"),
+    ("fft", 2, "c867b54db1e0127c274ef023cb8e49b5863f818d73100cbd0c8d7af0dd296d11"),
+    ("fft", 4, "93f67c4c9dd5f7616042f4d33d12459ca975b44176b6a5de5cfac7b690cac62f"),
+    ("fft", 8, "b7f36012ee3ff79b33f96cde280bec57c26758f2bdc64e3a74b80087dc6e6d04"),
+    ("fft", 16, "a94f3f22ce88c9a6e1fc6125bff359cac3d557f28b666817135da9f0448e9fa7"),
+    ("fft", 32, "4779418d62ed724e6da0c21f952fda5922ef2f072c94cf7934532c41059cd2a8"),
+    ("fft", 64, "13c96156cd182cd2798fe8afed1e62c38de2c73d1ed1747d66627c5e84255df7"),
+    ("fft", 128, "954327e041fc2f4f9083a3cc2670b91976884da086ab9c4d0b919248a5b98268"),
+    ("fft", 256, "6dfaac3906e2a5d2b6e43cc135b1e7c8226cff6112e9e4dbe50258dc28c386d4"),
+    ("fft", 512, "9a432c2f473a0790b5a65148023d393afb72f26d5d33ffaacabd0444f6a97bf2"),
+    ("fft", 1024, "6b38c7f21c60c772e05a558fe433c0985a6300415f4f02f32c4d923ef649b2a4"),
+    ("fft", 2048, "d06de44f346ac1a1dd6a9e8bb1eae78f0e594bb19f4e3ffb35bbd781b58e02b1"),
+    ("fft", 4096, "86d1b9a62094d79deed71471512c42cf6340b9e119dbe397ef2feb94be8ff154"),
+    ("fft", 32768, "9f0dfad53feb7c827c61153e795ae570f766a2040860fd904ee8e3dd30de15ab"),
+    ("fftconv2d", 1, "35309a2e3ee124fec02e4b2fbf89e41b70acc817c3a8ffa0a7004cef4050e026"),
+    ("fftconv2d", 2, "645a2d0e11b4e1b6044ab9d236018f022d2d4a4257650aec6ea17e2917969836"),
+    ("fftconv2d", 4, "d5a0331460a080e2c492b4ab40c63d1ba34dce4de0c89dbe5763df768929107a"),
+    ("fftconv2d", 8, "a842fab3c21614329554d3a4dd7579f1f80c864720f7de6f17eb6a773e330d19"),
+    ("fftconv2d", 16, "72797922071a71bd69f58ce322bf7744f5526d548bd6ac5daf1096f30021d8bc"),
+]
+
+
+@pytest.mark.parametrize("alg,n,digest", FFT_DIGESTS, ids=lambda v: str(v)[:9])
+def test_fft_generators_emit_pinned_traces(alg, n, digest):
+    generator = {"fft": gen_fft, "fftconv2d": gen_fft_conv2d}[alg]
+    assert _digest(generator(n)) == digest
