@@ -65,7 +65,7 @@ class DataObject:
 
 # bytes a trace holds per access: one int64 in each of its two columns
 ACCESS_BYTES = 2 * array("q").itemsize
-# accesses `Trace._validate` checks per numpy pass
+# accesses `Trace._validate` and `Trace.touched_objects` take per numpy pass
 VALIDATE_ACCESSES = 1 << 16
 
 
@@ -166,9 +166,13 @@ class Trace:
         import numpy as np
 
         ids = np.array([obj.id for obj in self.objects], dtype=np.int64)
-        # a lookup table over the touched ids' range; only a range wider than
-        # six times the trace makes np.isin sort instead, which loads numpy.ma
-        touched = np.isin(ids, np.frombuffer(self.oids, dtype=np.int64))
+        oids = np.frombuffer(self.oids, dtype=np.int64)
+        touched = np.zeros(len(ids), dtype=bool)
+        # a slice at a time, so that np.isin's temporaries stay small; it
+        # sorts, which loads numpy.ma, only for a slice whose ids span a range
+        # too wide for a lookup table
+        for start in range(0, len(oids), VALIDATE_ACCESSES):
+            touched |= np.isin(ids, oids[start:start + VALIDATE_ACCESSES])
         return [obj for obj, hit in zip(self.objects, touched.tolist()) if hit]
 
     def __len__(self) -> int:

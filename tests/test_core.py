@@ -145,6 +145,19 @@ def test_dmt_round_trip(trace):
         assert read_dmt(path) == trace
 
 
+@settings(max_examples=100, deadline=None)
+@given(dmt_traces(), st.integers(1, 8))
+@example(Trace([DataObject(2, "a", 1), DataObject(0, "b", 1), DataObject(1, "c", 1)],
+               [(1, 0), (2, 0), (1, 0)]), 1)
+@example(Trace([DataObject(2**62, "a", 1), DataObject(-(2**62), "b", 1)],
+               [(2**62, 0), (-(2**62), 0)]), 8)
+def test_touched_objects_match_the_set_of_touched_ids(trace, slice_accesses):
+    seen = set(trace.oids)
+    with mock.patch.object(core, "VALIDATE_ACCESSES", slice_accesses):
+        touched = trace.touched_objects()
+    assert touched == [obj for obj in trace.objects if obj.id in seen]
+
+
 @st.composite
 def bad_headers(draw):
     oid, size, word = draw(INT64), draw(st.integers(1, 9)), draw(NOT_INTEGERS)

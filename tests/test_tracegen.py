@@ -157,20 +157,21 @@ def test_fftconv2d_shares_one_root_table():
     assert omegas[0].size == 2
 
 
-@pytest.mark.parametrize("n", [2, 4])
-def test_fftconv2d_product_phase_is_triples(n):
+def test_fftconv2d_product_phase_is_triples():
     # after the kernel's and the image's 2D transforms, each of 2n transforms
     # of size n, come n*n triples: read K^[r][c] and I^[r][c], the outputs
     # of the column transforms, then write P[r*n + c]
-    trace = generate(GenSpec("fftconv2d", FftParams(n)))
-    ids = {obj.name: obj.id for obj in trace.objects}
-    start = 4 * n * access_count(GenSpec("fft", FftParams(n)))
-    expected = []
-    for r in range(n):
-        for c in range(n):
-            expected += [(ids[f"K.c{c}.y"], r), (ids[f"I.c{c}.y"], r), (ids["P"], r * n + c)]
-    assert list(trace.accesses[start:start + 3 * n * n]) == expected
-    assert ids["P"] not in {oid for oid, _ in trace.accesses[:start]}
+    for n in (2, 4):
+        trace = generate(GenSpec("fftconv2d", FftParams(n)))
+        ids = {obj.name: obj.id for obj in trace.objects}
+        start = 4 * n * access_count(GenSpec("fft", FftParams(n)))
+        expected = []
+        for r in range(n):
+            for c in range(n):
+                expected += [(ids[f"K.c{c}.y"], r), (ids[f"I.c{c}.y"], r),
+                             (ids["P"], r * n + c)]
+        assert list(trace.accesses[start:start + 3 * n * n]) == expected
+        assert ids["P"] not in {oid for oid, _ in trace.accesses[:start]}
 
 
 def test_traces_round_trip_through_dmt(tmp_path):
