@@ -164,7 +164,8 @@ class _TraceBuilder:
         import numpy as np
 
         self.oids, self.offsets = _repeat(0, count), _repeat(0, count)
-        return np.frombuffer(self.oids, dtype=np.int64), np.frombuffer(self.offsets, dtype=np.int64)
+        return (np.frombuffer(self.oids, dtype=np.int64),
+                np.frombuffer(self.offsets, dtype=np.int64))
 
     def build(self) -> Trace:
         # generators index within declared bounds by construction
@@ -315,10 +316,10 @@ def gen_batched_conv(n: int, k: int, c: int, x: int) -> Trace:
 
 
 def _place(columns: tuple, starts, width: int, *accesses) -> None:
-    """Write into `columns`, numpy views of a trace's two columns, `width`
-    iterations of a loop body per row k of the arrays, from position
-    starts[k] on.  An access of the body is an (object ids, offsets) pair
-    of arrays that broadcast to (len(starts), width)."""
+    """Write into `columns`, numpy views of a trace's two columns, one
+    loop of `width` iterations for each k, from position starts[k] on.
+    Each access of the loop body is an (object ids, offsets) pair of
+    arrays that broadcast to (len(starts), width)."""
     import numpy as np
 
     where = (starts[:, None] + np.arange(width * len(accesses))).ravel()
