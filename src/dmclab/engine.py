@@ -22,6 +22,7 @@ never load it.
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
@@ -44,8 +45,12 @@ if TYPE_CHECKING:
 # Per-access outcome: a finite stack distance (>= 1) or None for a cold miss.
 DistanceSequence = list[Optional[int]]
 
-# _count_smaller_before works in int32
+# _count_smaller_before packs a rank and a count below 2^31 into an int64
 _MAX_ACCESSES = 2**31 - 1
+
+# the passes over the bits below this one run one segment of 2^16 slots
+# (512 KiB of int64) at a time, while it stays in a core's L2 cache
+_SEGMENT_BITS = 16
 
 
 def stack_distances_oracle(trace: Trace) -> DistanceSequence:
@@ -90,6 +95,60 @@ def _block_ids(trace: Trace, layout: LayoutTable) -> np.ndarray:
     return keys
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _partition_pass(slots: np.ndarray, out: np.ndarray, l: int,
+                    mask: np.ndarray, columns: np.ndarray) -> None:
+    """The pass over bit l of _count_smaller_before, from `slots` into
+    `out`; `mask` is scratch of the same length, `columns` holds 0, 1, ...
+    up to at least 2^l."""
+    import numpy as np
+
+    half = 1 << l
+    np.bitwise_and(slots, 1 << (32 + l), out=out)  # out is scratch until the split
+    np.not_equal(out, 0, out=mask)
+    sets = slots[mask]
+    before = np.flatnonzero(mask)
+    np.logical_not(mask, out=mask)
+    clears = slots[mask]
+    # every full group holds 2^l set ranks, so the j-th set rank is the
+    # (j mod 2^l)-th of its group; the clear ranks before it in its group
+    # are its slot in the group less that
+    groups = len(slots) >> (l + 1)
+    full = groups << l
+    before &= 2 * half - 1
+    by_group = before[:full].reshape(groups, half)
+    by_group -= columns[:half]
+    before[full:] -= columns[:len(before) - full]
+    sets += before
+    # each group: its clear ranks in order, then its set ranks in order;
+    # only the last group can be partial, and it has no set rank unless
+    # it has all 2^l clear ones
+    split = out[:2 * full].reshape(groups, 2, half)
+    split[:, 0] = clears[:full].reshape(groups, half)
+    split[:, 1] = sets[:full].reshape(groups, half)
+    tail = out[2 * full:]
+    tail[:len(clears) - full] = clears[full:]
+    tail[len(clears) - full:] = sets[full:]
+
+
+def _partition(slots: np.ndarray, spare: np.ndarray, bits: range,
+               mask: np.ndarray, columns: np.ndarray) -> None:
+    """The passes over `bits`, high to low, on `slots` in place; `spare`
+    and `mask` are scratch of the same length."""
+    for l in bits:
+        _partition_pass(slots, spare, l, mask, columns)
+        slots, spare = spare, slots
+    if len(bits) % 2:
+        spare[:] = slots
+
+
 def _count_smaller_before(ranks: np.ndarray) -> np.ndarray:
     """c[i] = #{j < i : ranks[j] < ranks[i]} for a permutation of 0..R-1.
 
@@ -99,36 +158,46 @@ def _count_smaller_before(ranks: np.ndarray) -> np.ndarray:
     ranks first.  A rank with bit l set exceeds every earlier rank of its
     group with bit l clear; the pass counts those, then splits each group
     stably by bit l.  After the last pass rank r sits in slot r.
+
+    Each slot holds rank << 32 | count in one int64, so a pass moves one
+    array.  The passes over bits _SEGMENT_BITS and up run over all slots.
+    Every later pass stays inside one segment of 2^_SEGMENT_BITS slots,
+    so each segment then takes all its remaining passes while it is in
+    cache; the segments go to a thread pool (numpy releases the GIL in
+    these loops) when there are at least two per CPU.
     """
     import numpy as np
 
-    # slots, ranks and counts stay below _MAX_ACCESSES: int32 halves the
-    # memory and time of each pass
-    slot = np.arange(len(ranks), dtype=np.int32)
-    values = ranks.astype(np.int32)
-    counts = np.zeros(len(ranks), dtype=np.int32)
-    for l in reversed(range(max(len(ranks) - 1, 0).bit_length())):
-        bit = values >> l
-        bit &= 1
-        zeros = np.cumsum(bit, dtype=np.int32)
-        np.subtract(slot, zeros, out=zeros)
-        zeros += bit  # clear-bit ranks in earlier slots
-        start = slot >> (l + 1)
-        start <<= l  # each earlier group holds 2^l of them
-        zeros -= start  # ... of them in this slot's group
-        counts += bit * zeros
-        # clear bits keep their order from the group's start, set bits
-        # follow the group's 2^l clear ones
-        start <<= 1
-        start += zeros
-        to = np.where(bit, slot - zeros + (1 << l), start)
-        moved = np.empty_like(values)
-        moved[to] = values
-        values = moved
-        moved = np.empty_like(counts)
-        moved[to] = counts
-        counts = moved
-    return counts[ranks]
+    top = max(len(ranks) - 1, 0).bit_length()
+    low = min(_SEGMENT_BITS, top)
+    slots = ranks.astype(np.int64)
+    slots <<= 32
+    # one shared, read-only table of column numbers for every pass
+    columns = np.arange(1 << max(top - 1, 0), dtype=np.int32)
+    _partition(slots, np.empty_like(slots), range(top - 1, low - 1, -1),
+               np.empty(len(slots), dtype=bool), columns)
+    size = 1 << _SEGMENT_BITS
+    starts = range(0, len(slots), size)
+
+    def finish(mine: range) -> None:
+        # one set of buffers per worker, reused for each of its segments
+        spare = np.empty(min(size, len(slots)), dtype=np.int64)
+        mask = np.empty(len(spare), dtype=bool)
+        for lo in mine:
+            segment = slots[lo:lo + size]
+            n = len(segment)
+            _partition(segment, spare[:n], range(low - 1, -1, -1), mask[:n], columns)
+
+    workers = _cpu_count()
+    if workers > 1 and len(starts) >= 2 * workers:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(finish, [starts[i::workers] for i in range(workers)]))
+    else:
+        finish(starts)
+    slots &= 0xFFFFFFFF
+    return slots[ranks]
 
 
 def _reuse_distances(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,14 +218,21 @@ def _reuse_distances(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reuse = prev >= 0
     p = prev[reuse]
     del prev
-    # prev is distinct over reuses: rank it among them, in access order
+    # prev is distinct over reuses: rank it among them, in access order;
+    # positions and counts below _MAX_ACCESSES are exact in int32
     has_next = np.zeros(n, dtype=bool)
     has_next[p] = True
-    ranks = np.cumsum(has_next)[p] - 1
-    # the cold accesses before i have prev -1 <= prev[i]; so do the reuses
-    # whose prev ranks below prev[i]'s
-    cold_before = np.cumsum(~reuse)[reuse]
-    return reuse, cold_before + _count_smaller_before(ranks) - p
+    ranks = np.cumsum(has_next, dtype=np.int32)[p]
+    del has_next
+    ranks -= 1
+    # the reuses before i whose prev ranks below prev[i]'s have prev <=
+    # prev[i]; so do the cold accesses before i, with prev -1
+    distances = _count_smaller_before(ranks)
+    del ranks
+    cold_before = np.cumsum(~reuse, dtype=np.int32)[reuse]
+    distances += cold_before
+    distances -= p
+    return reuse, distances
 
 
 def stack_distances_fast(trace: Trace) -> DistanceSequence:
