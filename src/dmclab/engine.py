@@ -13,10 +13,15 @@ the distance of a reuse is the dominance count
 
     d(i) = #{j < i : prev[j] <= prev[i]} - prev[i],
 
-taken exactly in integer arithmetic over log2 N vectorised passes.  Their outputs are equal
-element-wise for every trace.  numpy is imported only inside the
+taken exactly in integer arithmetic over log2 N vectorised passes, each
+a stable partition by one bit of prev's rank.  The passes over the high
+bits run over all reuses at once; each later pass stays inside one
+segment of 2^16 ranks, so every segment takes its remaining passes while
+it is in cache, and the segments run on a thread pool when there are at
+least two per CPU.  The two engines' outputs are equal element-wise for
+every trace.  numpy and concurrent.futures are imported only inside the
 functions that analyse a trace, so the CLI's model and advice commands
-never load it.
+never load them.
 """
 
 from __future__ import annotations
