@@ -17,17 +17,14 @@ taken exactly in integer arithmetic over log2 N vectorised passes, each
 a stable partition by one bit of prev's rank.  The passes over the high
 bits run over all reuses at once; each later pass stays inside one
 segment of 2^16 ranks, so every segment takes its remaining passes while
-it is in cache, and the segments run on a thread pool when there are at
-least two per CPU.  The two engines' outputs are equal element-wise for
-every trace.  numpy and concurrent.futures are imported only inside the
-functions that analyse a trace, so the CLI's model and advice commands
-never load them.
+it is in cache.  The two engines' outputs are equal element-wise for
+every trace.  numpy is imported only inside the functions that analyse
+a trace, so the CLI's model and advice commands never load it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
@@ -100,14 +97,6 @@ def _block_ids(trace: Trace, layout: LayoutTable) -> np.ndarray:
     return keys
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
 def _partition_pass(slots: np.ndarray, out: np.ndarray, l: int,
                     mask: np.ndarray, columns: np.ndarray) -> None:
     """The pass over bit l of _count_smaller_before, from `slots` into
@@ -168,8 +157,7 @@ def _count_smaller_before(ranks: np.ndarray) -> np.ndarray:
     array.  The passes over bits _SEGMENT_BITS and up run over all slots.
     Every later pass stays inside one segment of 2^_SEGMENT_BITS slots,
     so each segment then takes all its remaining passes while it is in
-    cache; the segments go to a thread pool (numpy releases the GIL in
-    these loops) when there are at least two per CPU.
+    cache.
     """
     import numpy as np
 
@@ -179,28 +167,16 @@ def _count_smaller_before(ranks: np.ndarray) -> np.ndarray:
     slots <<= 32
     # one shared, read-only table of column numbers for every pass
     columns = np.arange(1 << max(top - 1, 0), dtype=np.int32)
-    _partition(slots, np.empty_like(slots), range(top - 1, low - 1, -1),
-               np.empty(len(slots), dtype=bool), columns)
+    spare = np.empty_like(slots)
+    mask = np.empty(len(slots), dtype=bool)
+    _partition(slots, spare, range(top - 1, low - 1, -1), mask, columns)
     size = 1 << _SEGMENT_BITS
-    starts = range(0, len(slots), size)
-
-    def finish(mine: range) -> None:
-        # one set of buffers per worker, reused for each of its segments
-        spare = np.empty(min(size, len(slots)), dtype=np.int64)
-        mask = np.empty(len(spare), dtype=bool)
-        for lo in mine:
-            segment = slots[lo:lo + size]
-            n = len(segment)
-            _partition(segment, spare[:n], range(low - 1, -1, -1), mask[:n], columns)
-
-    workers = _cpu_count()
-    if workers > 1 and len(starts) >= 2 * workers:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(finish, [starts[i::workers] for i in range(workers)]))
-    else:
-        finish(starts)
+    for lo in range(0, len(slots), size):
+        segment = slots[lo:lo + size]
+        n = len(segment)
+        # every segment reuses the same head of the buffers, still in cache
+        _partition(segment, spare[:n], range(low - 1, -1, -1), mask[:n], columns)
+    del spare, mask
     slots &= 0xFFFFFFFF
     return slots[ranks]
 

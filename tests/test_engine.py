@@ -2,15 +2,13 @@
 
 import math
 import random
-import sys
-import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmclab import engine, tracegen
+from dmclab import engine
 from dmclab.core import (
     COLD_POLICIES,
     AnalysisConfig,
@@ -198,61 +196,17 @@ def _scrambled(n: int) -> list[int]:
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 300).flatmap(lambda n: st.permutations(range(n))),
-       st.integers(1, 3), st.sampled_from([1, 2, 4]))
-@example(_scrambled(300), 1, 4)  # 150 segments on a pool of 4
-@example(_scrambled(299), 3, 2)  # partial last segment, on the pool
-@example(_scrambled(29), 3, 4)  # partial last segment, in a loop
-@example(_scrambled(100), 2, 1)  # 25 segments, in a loop
-@example(_scrambled(6), 3, 2)  # one segment
-@example([0], 1, 2)
-@example([], 2, 4)
-def test_count_smaller_before_matches_brute_force(ranks, segment_bits, workers):
+@given(st.integers(0, 300).flatmap(lambda n: st.permutations(range(n))), st.integers(1, 3))
+@example(_scrambled(300), 1)  # 150 segments
+@example(_scrambled(299), 3)  # partial last segment
+@example(_scrambled(6), 3)  # one segment
+@example([0], 1)
+@example([], 2)
+def test_count_smaller_before_matches_brute_force(ranks, segment_bits):
     ranks = np.array(ranks, dtype=np.int32)
     earlier = np.tri(len(ranks), k=-1, dtype=bool)  # earlier[i, j]: j < i
     expected = ((ranks[None, :] < ranks[:, None]) & earlier).sum(axis=1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_SEGMENT_BITS", segment_bits)
-        patch.setattr(engine, "_cpu_count", lambda: workers)
         counts = engine._count_smaller_before(ranks)
     assert counts.tolist() == expected.tolist()
-
-
-def test_concurrent_analyses_match_serial(monkeypatch):
-    import concurrent.futures
-
-    pools = []
-
-    class CountingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
-
-    # 2^4-slot segments on four workers: every analysis below uses the pool
-    monkeypatch.setattr(engine, "_SEGMENT_BITS", 4)
-    monkeypatch.setattr(engine, "_cpu_count", lambda: 4)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-    jobs = [(tracegen.gen_conv(24, 24, 3), AnalysisConfig(cold_policy="per_object")),
-            (tracegen.gen_fft(64), AnalysisConfig(block_size=4))]
-    serial = [analyze_trace(trace, config) for trace, config in jobs]
-    assert len(pools) == 2
-    results = [None] * len(jobs)
-    start = threading.Barrier(len(jobs))
-
-    def run(i):
-        start.wait(timeout=60)
-        results[i] = analyze_trace(*jobs[i])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(pools) == 4
-    assert results == serial
