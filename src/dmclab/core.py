@@ -16,8 +16,13 @@ import math
 import os
 import re
 from array import array
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from itertools import compress
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DmcError(Exception):
@@ -65,13 +70,95 @@ class DataObject:
 
 # bytes a trace holds per access: one int64 in each of its two columns
 ACCESS_BYTES = 2 * array("q").itemsize
-# accesses `Trace._validate` and `Trace.touched_objects` take per numpy pass
+# accesses `Trace._validate` takes per numpy pass
 VALIDATE_ACCESSES = 1 << 16
+# printable ASCII but the space: the bytes of a name that is valid whatever
+# its position
+_NAME_BYTES = bytes(range(0x21, 0x7F))
 
 
 def physical_memory() -> int:
     """Bytes of physical memory on this machine: no trace may need more."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _int_column(values: Sequence[int]) -> array | list:
+    """`values` as an ``array('q')``, or as a list if one exceeds 64 bits."""
+    if isinstance(values, array):
+        return values
+    try:
+        return array("q", values)
+    except OverflowError:
+        return list(values)
+
+
+class ObjectTable(SequenceABC):
+    """The objects of a trace as columns: `ids` and `sizes` as
+    ``array('q')`` (`sizes` as a list if one exceeds 64 bits) and `names`
+    as a list, in declaration order.
+
+    It reads as a sequence of DataObjects, each built on access.  It is
+    validated as a whole: a table that breaks DataObject's rules or
+    repeats an id raises what building its DataObjects in order, then a
+    Trace of them, raises.  Array columns are taken over, not copied.
+    """
+
+    __slots__ = ("ids", "names", "sizes")
+
+    def __init__(self, ids: Sequence[int], names: Sequence[str], sizes: Sequence[int]):
+        import numpy as np
+
+        if not len(ids) == len(names) == len(sizes):
+            raise ValidationError("object ids, names and sizes differ in length")
+        self.ids, self.names, self.sizes = _int_column(ids), list(names), _int_column(sizes)
+        text = "\n".join(self.names)
+        # names with a space, and values beyond 64 bits, take the exact path
+        if (isinstance(self.ids, array) and isinstance(self.sizes, array)
+                and np.frombuffer(self.sizes, dtype=np.int64).min(initial=1) >= 1
+                and all(self.names) and text.isascii()
+                and text.encode("ascii").translate(None, _NAME_BYTES) == b"\n" * (len(self) - 1)):
+            ordered = np.sort(np.frombuffer(self.ids, dtype=np.int64))
+            if (ordered[1:] != ordered[:-1]).all():
+                return
+        # the first invalid object raises its own error, then the first repeat
+        seen = set()
+        for obj in list(map(DataObject, ids, self.names, sizes)):
+            if obj.id in seen:
+                raise ValidationError(f"duplicate object id {obj.id}")
+            seen.add(obj.id)
+
+    @classmethod
+    def of(cls, objects: Sequence[DataObject]) -> ObjectTable:
+        """The table of `objects`; `objects` itself if it is one."""
+        if isinstance(objects, cls):
+            return objects
+        return cls([o.id for o in objects], [o.name for o in objects],
+                   [o.size for o in objects])
+
+    def size_column(self) -> np.ndarray:
+        """The sizes as int64, or as Python ints if one exceeds 64 bits."""
+        import numpy as np
+
+        if isinstance(self.sizes, array):
+            return np.frombuffer(self.sizes, dtype=np.int64)
+        return np.array(self.sizes, dtype=object)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, i: int) -> DataObject:
+        return DataObject(self.ids[i], self.names[i], self.sizes[i])
+
+    def __iter__(self):
+        return map(DataObject, self.ids, self.names, self.sizes)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ObjectTable):
+            return (self.ids == other.ids and self.sizes == other.sizes
+                    and self.names == other.names)
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 class Trace:
@@ -81,7 +168,7 @@ class Trace:
     `offsets`: the two fields of a .dmt access line.
     """
 
-    __slots__ = ("objects", "oids", "offsets", "_by_id")
+    __slots__ = ("objects", "oids", "offsets")
 
     def __init__(
         self,
@@ -101,26 +188,23 @@ class Trace:
     def from_columns(
         cls,
         objects: Sequence[DataObject],
-        oids: array,
-        offsets: array,
+        oids,
+        offsets,
         validate: bool = True,
     ) -> Trace:
-        """A trace over two equal-length ``array('q')`` columns, which it
-        takes over: the caller must not modify them afterwards."""
+        """A trace over two equal-length int64 access columns, each an
+        ``array('q')`` or a memoryview of format ``'q'`` (of a numpy
+        buffer: ``memoryview(a).cast('B').cast('q')``).  It takes them
+        over, and `objects` too if it is an ObjectTable: the caller must
+        not modify them afterwards."""
         trace = cls.__new__(cls)
         trace._init(objects, oids, offsets, validate)
         return trace
 
-    def _init(self, objects, oids: array, offsets: array, validate: bool) -> None:
-        by_id: dict[int, DataObject] = {}
-        for obj in objects:
-            if obj.id in by_id:
-                raise ValidationError(f"duplicate object id {obj.id}")
-            by_id[obj.id] = obj
-        self.objects: tuple[DataObject, ...] = tuple(objects)
+    def _init(self, objects, oids, offsets, validate: bool) -> None:
+        self.objects = ObjectTable.of(objects)
         self.oids = memoryview(oids).toreadonly()
         self.offsets = memoryview(offsets).toreadonly()
-        self._by_id = by_id
         if validate:
             self._validate()
 
@@ -129,10 +213,14 @@ class Trace:
         offset outside its object."""
         import numpy as np
 
-        ids = np.array(sorted(self._by_id), dtype=np.int64)
+        table = self.objects
+        ids = np.frombuffer(table.ids, dtype=np.int64)
+        by_id = np.argsort(ids)
+        ids = ids[by_id]
         # an offset is int64, so a size beyond 2**63 bounds nothing more
-        last = np.array([min(self._by_id[oid].size, 2**63) - 1 for oid in ids.tolist()],
-                        dtype=np.int64)
+        last = table.size_column()[by_id] - 1
+        if last.dtype == object:
+            last = np.minimum(last, 2**63 - 1).astype(np.int64)
         oids = np.frombuffer(self.oids, dtype=np.int64)
         offsets = np.frombuffer(self.offsets, dtype=np.int64)
         if len(oids) and not len(ids):
@@ -149,11 +237,12 @@ class Trace:
     def _reject(self, i: int):
         """Raise for access `i`, which is invalid."""
         oid, off = self.oids[i], self.offsets[i]
-        obj = self._by_id.get(oid)
-        if obj is None:
+        table = self.objects
+        if oid not in table.ids:
             raise ValidationError(f"access {i}: unknown object id {oid}")
+        size = table.sizes[table.ids.index(oid)]
         raise ValidationError(
-            f"access {i}: offset {off} out of range for object {oid} (size {obj.size})"
+            f"access {i}: offset {off} out of range for object {oid} (size {size})"
         )
 
     @property
@@ -161,19 +250,30 @@ class Trace:
         """The accesses as ``(object_id, offset)`` pairs, built on each call."""
         return tuple(zip(self.oids, self.offsets))
 
-    def touched_objects(self) -> list[DataObject]:
-        """Objects that appear in at least one access, in declaration order."""
+    def _rows(self) -> np.ndarray:
+        """The row of the object table that holds each access's object:
+        the object id itself when the ids are 0 ... K-1, as every generator
+        makes them, else found by binary search."""
         import numpy as np
 
-        ids = np.array([obj.id for obj in self.objects], dtype=np.int64)
+        ids = np.frombuffer(self.objects.ids, dtype=np.int64)
         oids = np.frombuffer(self.oids, dtype=np.int64)
-        touched = np.zeros(len(ids), dtype=bool)
-        # a slice at a time, so that np.isin's temporaries stay small; it
-        # sorts, which loads numpy.ma, only for a slice whose ids span a range
-        # too wide for a lookup table
-        for start in range(0, len(oids), VALIDATE_ACCESSES):
-            touched |= np.isin(ids, oids[start:start + VALIDATE_ACCESSES])
-        return [obj for obj, hit in zip(self.objects, touched.tolist()) if hit]
+        if np.array_equal(ids, np.arange(len(ids))):
+            return oids
+        by_id = np.argsort(ids)
+        return by_id[np.searchsorted(ids[by_id], oids)]
+
+    def _touched(self) -> list[bool]:
+        """Whether each object of the table appears in an access."""
+        import numpy as np
+
+        hit = np.zeros(len(self.objects), dtype=bool)
+        hit[self._rows()] = True
+        return hit.tolist()
+
+    def touched_objects(self) -> list[DataObject]:
+        """Objects that appear in at least one access, in declaration order."""
+        return list(compress(self.objects, self._touched()))
 
     def __len__(self) -> int:
         return len(self.oids)
@@ -190,15 +290,22 @@ class Trace:
 
 @dataclass(frozen=True)
 class LayoutTable:
-    """Object id -> base address assignment, in element units.
+    """Base addresses of objects, in element units: `starts[i]` is the
+    base of the object whose id is `ids[i]`.
 
     Block ids are ``address // block_size``.  Address ranges of distinct
     objects never overlap and every base is a multiple of `block_size`,
     so two objects never share a cache block.
     """
 
-    bases: Mapping[int, int]
+    ids: array
+    starts: array
     block_size: int
+
+    @property
+    def bases(self) -> dict[int, int]:
+        """Object id -> base address."""
+        return dict(zip(self.ids, self.starts))
 
 
 @dataclass(frozen=True)
@@ -264,17 +371,26 @@ def build_layout(objects: Sequence[DataObject], block_size: int) -> LayoutTable:
     """Place objects contiguously in declaration order.
 
     Each base is rounded up to the next multiple of `block_size`, so
-    distinct objects never share a block.
+    distinct objects never share a block.  Raises if the layout spans
+    2**63 elements or more.
     """
+    import numpy as np
+
     if block_size < 1:
         raise ValidationError("block_size must be >= 1")
-    bases: dict[int, int] = {}
-    cursor = 0
-    for obj in objects:
-        base = -(-cursor // block_size) * block_size
-        bases[obj.id] = base
-        cursor = base + obj.size
-    return LayoutTable(bases=bases, block_size=block_size)
+    table = ObjectTable.of(objects)
+    sizes = table.size_column()
+    # every sum below fits in int64 unless the sizes or the block are huge
+    if (len(sizes) + 1) * (int(sizes.max(initial=0)) + block_size) >= 2**63:
+        sizes = sizes.astype(object)
+    # a base is a multiple of the block, so the next one is that base plus
+    # the object's size rounded up to whole blocks
+    aligned = -(-sizes // block_size) * block_size
+    starts = np.cumsum(aligned) - aligned
+    end = starts[-1] + sizes[-1] if len(sizes) else 0
+    if end >= 2**63:
+        raise ValidationError(f"layout spans {end} elements, beyond 64-bit addresses")
+    return LayoutTable(table.ids, array("q", starts.astype(np.int64).tobytes()), block_size)
 
 
 def scale_granularity(report: DmdReport, bits: int) -> DmdReport:
@@ -311,8 +427,9 @@ DMT_MAX_DIGITS = 18
 
 def write_dmt(trace: Trace, path) -> None:
     with open(path, "wb") as fh:
-        for obj in trace.objects:
-            fh.write(f"%object {obj.id} {obj.size} {obj.name}\n".encode("ascii"))
+        table = trace.objects
+        fh.write("".join(f"%object {oid} {size} {name}\n" for oid, size, name
+                         in zip(table.ids, table.sizes, table.names)).encode("ascii"))
         step = DMT_WRITE_ACCESSES
         for start in range(0, len(trace), step):
             oids = trace.oids[start:start + step]

@@ -25,15 +25,17 @@ a trace, so the CLI's model and advice commands never load it.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from itertools import compress
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from dmclab.core import (
     AnalysisConfig,
-    DataObject,
     DmdReport,
     LayoutTable,
+    ObjectTable,
     Trace,
     ValidationError,
     build_layout,
@@ -81,17 +83,22 @@ def _block_ids(trace: Trace, layout: LayoutTable) -> np.ndarray:
     int64 key per access, equal exactly when two accesses share a block."""
     import numpy as np
 
-    objects = trace.objects
-    bases = [layout.bases[obj.id] for obj in objects]
-    end = max((base + obj.size for base, obj in zip(bases, objects)), default=0)
-    if end >= 2**63:
+    table = trace.objects
+    starts = np.frombuffer(layout.starts, dtype=np.int64)
+    if layout.ids != table.ids:
+        # the layout's row of each object, by binary search
+        ids = np.frombuffer(layout.ids, dtype=np.int64)
+        wanted = np.frombuffer(table.ids, dtype=np.int64)
+        by_id = np.argsort(ids)
+        row = np.searchsorted(ids[by_id], wanted)
+        missing = row == np.searchsorted(ids[by_id], wanted, side="right")
+        if missing.any():
+            raise ValidationError(f"layout does not cover object ids {wanted[missing].tolist()}")
+        starts = starts[by_id[row]]
+    if (table.size_column() > (2**63 - 1) - starts).any():
+        end = max(map(operator.add, starts.tolist(), table.sizes))
         raise ValidationError(f"layout spans {end} elements, beyond 64-bit addresses")
-    ids = np.fromiter((obj.id for obj in objects), dtype=np.int64, count=len(objects))
-    by_id = np.argsort(ids)
-    ids = ids[by_id]
-    base = np.array(bases, dtype=np.int64)[by_id]
-    oids = np.frombuffer(trace.oids, dtype=np.int64)
-    keys = base[np.searchsorted(ids, oids)]
+    keys = starts[trace._rows()]
     keys += np.frombuffer(trace.offsets, dtype=np.int64)
     keys //= layout.block_size
     return keys
@@ -229,26 +236,35 @@ def stack_distances_fast(trace: Trace) -> DistanceSequence:
     return out
 
 
-def _histogram(trace: Trace, block_size: int) -> tuple[dict[int, int], int]:
-    """(stack distance -> count, number of cold accesses), in blocks of
-    `block_size` under build_layout, by the numpy engine."""
+def _histogram(trace: Trace, block_size: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(the stack distances that occur, in increasing order, their counts,
+    the number of cold accesses), in blocks of `block_size` under
+    build_layout, by the numpy engine."""
     import numpy as np
 
     keys = _block_ids(trace, build_layout(trace.objects, block_size))
     _, distances = _reuse_distances(keys)
     counts = np.bincount(distances)
     bins = np.flatnonzero(counts)
-    return dict(zip(bins.tolist(), counts[bins].tolist())), len(keys) - len(distances)
+    return bins, counts[bins], len(keys) - len(distances)
 
 
 def _report(
-    histogram: Mapping[int, int],
+    bins: np.ndarray,
+    counts: np.ndarray,
     n_cold: int,
     n_accesses: int,
     config: AnalysisConfig,
     touched_sizes: Iterable[int],
 ) -> DmdReport:
-    reuse_dmd = math.fsum(c * math.sqrt(d) for d, c in histogram.items())
+    """The report of a histogram given as distances `bins` (int64) and
+    their `counts`."""
+    import numpy as np
+
+    # bit for bit the sum of c * math.sqrt(d): a distance or count below
+    # 2**53 converts to float64 exactly, and sqrt and product are
+    # correctly rounded
+    reuse_dmd = math.fsum((counts * np.sqrt(bins)).tolist())
     policy = config.cold_policy
     if policy == "exclude":
         cold_dmd = 0.0
@@ -261,7 +277,7 @@ def _report(
         cold_dmd=cold_dmd,
         n_accesses=n_accesses,
         n_cold=n_cold,
-        histogram=dict(histogram),
+        histogram=dict(zip(bins.tolist(), counts.tolist())),
     )
 
 
@@ -282,9 +298,13 @@ def accumulate_dmd(
     Summation runs through math.fsum over the histogram, so it is exact
     regardless of trace length.
     """
+    import numpy as np
+
     histogram = Counter(d for d in distances if d is not None)
     n_cold = len(distances) - histogram.total()
-    return _report(histogram, n_cold, len(distances), config, touched_sizes)
+    bins = np.array(list(histogram), dtype=np.int64)
+    counts = np.array(list(histogram.values()), dtype=np.int64)
+    return _report(bins, counts, n_cold, len(distances), config, touched_sizes)
 
 
 def apply_block_transform(trace: Trace, layout: LayoutTable) -> Trace:
@@ -296,17 +316,15 @@ def apply_block_transform(trace: Trace, layout: LayoutTable) -> Trace:
     """
     import numpy as np
 
-    missing = [obj.id for obj in trace.objects if obj.id not in layout.bases]
-    if missing:
-        raise ValidationError(f"layout does not cover object ids {missing}")
     bids = _block_ids(trace, layout)
     # np.unique would load numpy.ma on its first call
     ordered = np.sort(bids)
     first = np.ones(len(ordered), dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
-    block_objects = [DataObject(id=bid, name=f"block{bid}", size=1)
-                     for bid in ordered[first].tolist()]
-    return Trace.from_columns(block_objects, array("q", bids.tobytes()),
+    ids = ordered[first]
+    blocks = ObjectTable(array("q", ids.tobytes()), [f"block{bid}" for bid in ids.tolist()],
+                         array("q", [1]) * len(ids))
+    return Trace.from_columns(blocks, array("q", bids.tobytes()),
                               array("q", [0]) * len(bids), validate=False)
 
 
@@ -321,10 +339,11 @@ def analyze_trace(
     if config.cold_policy == "per_object":
         # build_layout aligns every object to a block, so an object of
         # size s occupies exactly ceil(s / b) blocks
-        touched_sizes = [-(-obj.size // b) for obj in trace.touched_objects()]
+        sizes = compress(trace.objects.sizes, trace._touched())
+        touched_sizes = [-(-size // b) for size in sizes]
     if engine == "fast":
-        histogram, n_cold = _histogram(trace, b)
-        report = _report(histogram, n_cold, len(trace), config, touched_sizes)
+        bins, counts, n_cold = _histogram(trace, b)
+        report = _report(bins, counts, n_cold, len(trace), config, touched_sizes)
     elif engine == "oracle":
         measured = trace
         if b > 1:

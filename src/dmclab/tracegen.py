@@ -16,8 +16,9 @@ fields, so sweeps read the model columns without evaluating it again.
 The loop-nest generators append whole loop columns to `array('q')`
 columns.  The recursive FFT generators know each call's place in the
 trace from its parent's, so they write one recursion depth at a time
-into columns allocated at the trace's exact length.  They use numpy,
-imported inside them, so the commands that make no trace never load it.
+into columns allocated at the trace's exact length.  numpy is imported
+only inside the functions that build a trace, so the commands that make
+no trace never load it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import astuple, dataclass, fields
 from typing import Callable, Optional
 
 from dmclab import models
-from dmclab.core import DataObject, Trace, ValidationError
+from dmclab.core import ObjectTable, Trace, ValidationError
 
 
 def _keep(record, result) -> None:
@@ -122,7 +123,7 @@ class Kernel:
 
 
 class _TraceBuilder:
-    """Object table and access columns of a trace under construction.
+    """Object columns and access columns of a trace under construction.
 
     Generators emit a loop's accesses a column at a time: the offsets one
     body position touches over all iterations are one arithmetic column
@@ -133,15 +134,17 @@ class _TraceBuilder:
     """
 
     def __init__(self):
-        self.objects: list[DataObject] = []
+        # object i has id i
+        self.names: list[str] = []
+        self.sizes = array("q")
         self.oids = array("q")
         self.offsets = array("q")
         self._iota = array("q")  # 0, 1, 2, ...: the columns `arange` cuts
 
     def new_object(self, name: str, size: int) -> int:
-        oid = len(self.objects)
-        self.objects.append(DataObject(id=oid, name=name, size=size))
-        return oid
+        self.names.append(name)
+        self.sizes.append(size)
+        return len(self.names) - 1
 
     def arange(self, start: int, stop: int, step: int = 1) -> array:
         """array('q', range(start, stop, step)) for 0 <= start, step > 0."""
@@ -159,17 +162,22 @@ class _TraceBuilder:
         self.offsets.extend(offsets)
 
     def allocate(self, count: int) -> tuple:
-        """Make the columns `count` accesses long and return writable
-        numpy views of them, for a generator that places its accesses."""
+        """Make the columns `count` accesses long, uninitialised, and
+        return them as numpy arrays, for a generator that places every
+        access."""
         import numpy as np
 
-        self.oids, self.offsets = _repeat(0, count), _repeat(0, count)
-        return (np.frombuffer(self.oids, dtype=np.int64),
-                np.frombuffer(self.offsets, dtype=np.int64))
+        columns = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
+        self.oids, self.offsets = (memoryview(c).cast("B").cast("q") for c in columns)
+        return columns
 
     def build(self) -> Trace:
+        import numpy as np
+
+        ids = array("q", np.arange(len(self.names), dtype=np.int64).tobytes())
         # generators index within declared bounds by construction
-        return Trace.from_columns(self.objects, self.oids, self.offsets, validate=False)
+        return Trace.from_columns(ObjectTable(ids, self.names, self.sizes),
+                                  self.oids, self.offsets, validate=False)
 
 
 def _repeat(value: int, count: int) -> array:
@@ -362,7 +370,7 @@ def _fft_fill(
 
     in_oids, in_offsets = src
     count, n = in_oids.shape
-    first = len(b.objects)
+    first = len(b.names)
     per_call = 3 * (n - 1)
     names = np.empty(count * per_call, dtype=object)
     sizes = np.empty(count * per_call, dtype=np.int64)
@@ -393,8 +401,8 @@ def _fft_fill(
         labels = [label + child for label in labels for child in (".e", ".o")]
         m = h
     _place(columns, starts, 1, (in_oids[:, :1], in_offsets[:, :1]))
-    b.objects.extend(map(DataObject, range(first, first + len(names)), names.tolist(),
-                         sizes.tolist()))
+    b.names += names.tolist()
+    b.sizes.frombytes(sizes.tobytes())
     if n == 1:
         return src
     results = first + per_call * np.arange(count) + per_call - 1

@@ -1,7 +1,9 @@
 """Domain types, layout, granularity scaling, and the .dmt format."""
 
 import math
+import random
 import tempfile
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -9,11 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmclab import core
+from dmclab import core, engine
 from dmclab.core import (
     AnalysisConfig,
     DataObject,
     DmdReport,
+    ObjectTable,
     Trace,
     TraceFormatError,
     ValidationError,
@@ -393,3 +396,106 @@ def test_validation_messages_are_pinned():
         Trace([DataObject(0, "A", 4)], [(0, 99)])
     with pytest.raises(ValidationError, match="^access 0: unknown object id 1$"):
         Trace([DataObject(0, "A", 4)], [(1, 0)])
+
+
+# --- the columnar object table ---------------------------------------------------
+
+OBJECT_ROWS = st.lists(st.tuples(
+    st.integers(-2, 3) | EDGES,
+    NAMES | st.sampled_from(["", " pad", "pad ", "a\nb", "a\x7f", "\u00e9", "img data"]),
+    st.integers(-1, 5) | st.sampled_from([2**63 - 1, 2**63, 2**70]),
+), max_size=6)
+
+
+def _objects_or_error(rows):
+    """The reference: the DataObjects of `rows` built in order, then checked
+    for a repeated id as a Trace of them was, or the first error's message."""
+    try:
+        objects = [DataObject(*row) for row in rows]
+    except ValidationError as exc:
+        return str(exc)
+    seen = set()
+    for obj in objects:
+        if obj.id in seen:
+            return f"duplicate object id {obj.id}"
+        seen.add(obj.id)
+    return objects
+
+
+@settings(max_examples=200, deadline=None)
+@given(OBJECT_ROWS)
+@example([(0, "a", 1), (0, "b", 1), (1, "c", 0)])  # the bad size, not the repeat
+@example([(1, "a", 1), (2**63, "b", 1)])
+@example([(1, "a", 2**70), (2, "b b", 2)])
+@example([])
+def test_object_table_reads_as_a_list_of_data_objects(rows):
+    expected = _objects_or_error(rows)
+    columns = ([row[i] for row in rows] for i in range(3))
+    try:
+        trace = Trace.from_columns(ObjectTable(*columns), array("q"), array("q"))
+    except ValidationError as exc:
+        assert str(exc) == expected
+        return
+    table = trace.objects
+    assert len(table) == len(expected)
+    assert list(table) == expected
+    assert [table[i] for i in range(-len(table), len(table))] == expected + expected
+    assert table == expected and table == tuple(expected)
+    assert Trace(expected, []) == trace
+    assert Trace(table, []).objects is table
+
+
+def _layout_loop(objects, block_size):
+    """The reference layout: each base the cursor rounded up to a block."""
+    bases, cursor = {}, 0
+    for obj in objects:
+        base = -(-cursor // block_size) * block_size
+        bases[obj.id] = base
+        cursor = base + obj.size
+    return bases, cursor
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 40) | st.integers(1, 2**62), max_size=8),
+       st.sampled_from([1, 2, 4, 16]))
+@example([2**62, 2**62 - 16], 16)  # ends at 2**63 - 1
+@example([2**62, 2**62 - 15], 16)  # a base rounds up to 2**63
+def test_vectorised_layout_matches_loop(sizes, block_size):
+    objs = [DataObject(i, f"o{i}", size) for i, size in enumerate(sizes)]
+    bases, end = _layout_loop(objs, block_size)
+    if end >= 2**63:
+        with pytest.raises(ValidationError, match=f"^layout spans {end} elements"):
+            build_layout(objs, block_size)
+    else:
+        assert build_layout(objs, block_size).bases == bases
+
+
+def _block_ids_loop(trace, layout):
+    """The reference: (base + offset) // block_size, access by access."""
+    bases = layout.bases
+    return [(bases[oid] + off) // layout.block_size for oid, off in trace.accesses]
+
+
+DENSE_IDS = st.integers(1, 6).map(lambda k: list(range(k)))
+SPARSE_IDS = st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=6, unique=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(DENSE_IDS | SPARSE_IDS | DENSE_IDS.map(lambda ids: ids[::-1]),
+       st.sampled_from([1, 2, 4, 16]), st.booleans(), st.data())
+@example([0, 1, 2], 4, False, None)  # dense: a gather
+@example([-5, 7, 2**40], 2, False, None)  # sparse and negative: a binary search
+@example([1, 0], 1, True, None)
+def test_block_ids_match_a_loop(ids, block_size, own_order, data):
+    sizes = [3 + 2 * i for i in range(len(ids))]
+    objs = [DataObject(oid, f"o{oid}", size) for oid, size in zip(ids, sizes)]
+    picks = data.draw(st.lists(st.integers(0, 10**6), max_size=40)) if data else range(12)
+    trace = Trace(objs, [(objs[p % len(objs)].id, p % objs[p % len(objs)].size) for p in picks])
+    # a layout declared in another order maps the trace's ids by search too
+    placed = objs if own_order else random.Random(len(ids)).sample(objs, len(objs))
+    layout = build_layout(placed, block_size)
+    assert engine._block_ids(trace, layout).tolist() == _block_ids_loop(trace, layout)
+    missing = placed[0].id
+    partial = build_layout(placed[1:], block_size)
+    with pytest.raises(ValidationError, match=rf"^layout does not cover object ids \[{missing}\]$"):
+        engine.apply_block_transform(trace, partial)

@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from dmclab.core import ValidationError, write_dmt
+from dmclab.core import COLD_POLICIES, AnalysisConfig, DataObject, ValidationError, write_dmt
 from dmclab.engine import analyze_trace, stack_distances_fast
 import numpy as np
 
@@ -231,3 +231,14 @@ FFT_DIGESTS = [
 def test_fft_generators_emit_pinned_traces(alg, n, digest):
     generator = {"fft": gen_fft, "fftconv2d": gen_fft_conv2d}[alg]
     assert _digest(generator(n)) == digest
+
+
+@pytest.mark.parametrize("generator,n", [(gen_fft, 1024), (gen_fft_conv2d, 8)])
+def test_generation_and_analysis_build_no_data_object(generator, n, monkeypatch):
+    built = []
+    check = DataObject.__post_init__
+    monkeypatch.setattr(DataObject, "__post_init__", lambda obj: built.append(check(obj)))
+    trace = generator(n)
+    for cold in COLD_POLICIES:
+        analyze_trace(trace, AnalysisConfig(cold_policy=cold))
+    assert len(built) == 0
