@@ -112,7 +112,8 @@ class ObjectTable(SequenceABC):
             raise ValidationError("object ids, names and sizes differ in length")
         self.ids, self.names, self.sizes = _int_column(ids), list(names), _int_column(sizes)
         text = "\n".join(self.names)
-        # names with a space, and values beyond 64 bits, take the exact path
+        # a quick check that passes 64-bit values and names of printable
+        # ASCII without spaces: once those bytes go, only the separators stay
         if (isinstance(self.ids, array) and isinstance(self.sizes, array)
                 and np.frombuffer(self.sizes, dtype=np.int64).min(initial=1) >= 1
                 and all(self.names) and text.isascii()
