@@ -84,7 +84,7 @@ def physical_memory() -> int:
 
 def _int_column(values: Sequence[int]) -> array | list:
     """`values` as an ``array('q')``, or as a list if one exceeds 64 bits."""
-    if isinstance(values, array):
+    if isinstance(values, array) and values.typecode == "q":
         return values
     try:
         return array("q", values)
