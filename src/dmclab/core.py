@@ -16,10 +16,10 @@ import math
 import os
 import re
 from array import array
-from collections.abc import Sequence as SequenceABC
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,7 +92,7 @@ def _int_column(values: Sequence[int]) -> array | list:
         return list(values)
 
 
-class ObjectTable(SequenceABC):
+class ObjectTable(Sequence):
     """The objects of a trace as columns: `ids` and `sizes` as
     ``array('q')`` (`sizes` as a list if one exceeds 64 bits) and `names`
     as a list, in declaration order.
