@@ -417,76 +417,181 @@ def scale_granularity(report: DmdReport, bits: int) -> DmdReport:
 # externally produced traces.
 
 
-# accesses formatted per write, and bytes read per chunk of whole lines; at
-# 32 KiB of the lines `write_dmt` writes, a chunk's int64 index arrays stay
-# below glibc's 128 KiB mmap threshold and reuse heap pages
-DMT_WRITE_ACCESSES = 1 << 14
+# bytes read per chunk of whole lines: at 32 KiB of the lines `write_dmt`
+# writes, a chunk's int64 index arrays stay below glibc's 128 KiB mmap
+# threshold and reuse heap pages
 DMT_CHUNK_BYTES = 1 << 15
+# accesses formatted per write.  A chunk of N holds, per column and digit
+# position, a digit row of 4 or 8 bytes and a mask row of 1 byte per access,
+# then a byte matrix and a keep mask of N x W bytes each, W <= 42 the widest
+# line: about 0.8 MiB for conv n=256's lines at 2^14.  2^13 to 2^15 wrote
+# conv n=256 and fft 2^15 equally fast, 2^16 slower.
+DMT_WRITE_ACCESSES = 1 << 14
 # digits a canonical field may have: every such value fits in int64
 DMT_MAX_DIGITS = 18
 
 
 def write_dmt(trace: Trace, path) -> None:
+    """Write `trace` as .dmt text: a header per object, then one canonical
+    access line ``%d %d`` per access, spelled by numpy digit arithmetic
+    DMT_WRITE_ACCESSES accesses at a time."""
+    import numpy as np
+
+    oids = np.frombuffer(trace.oids, dtype=np.int64)
+    offsets = np.frombuffer(trace.offsets, dtype=np.int64)
     with open(path, "wb") as fh:
         table = trace.objects
         fh.write("".join(f"%object {oid} {size} {name}\n" for oid, size, name
                          in zip(table.ids, table.sizes, table.names)).encode("ascii"))
         step = DMT_WRITE_ACCESSES
-        for start in range(0, len(trace), step):
-            oids = trace.oids[start:start + step]
-            pairs = [0] * (2 * len(oids))
-            pairs[0::2] = oids
-            pairs[1::2] = trace.offsets[start:start + step]
-            fh.write(b"%d %d\n" * len(oids) % tuple(pairs))
+        for start in range(0, len(oids), step):
+            oid_rows, oid_keep = _decimal(oids[start:start + step])
+            off_rows, off_keep = _decimal(offsets[start:start + step])
+            rows = [*oid_rows, ord(" "), *off_rows, ord("\n")]
+            keep = [*oid_keep, True, *off_keep, True]
+            # one line per matrix row, each byte position a column
+            lines = np.empty((len(oid_keep[0]), len(rows)), dtype=np.uint8)
+            kept = np.empty(lines.shape, dtype=bool)
+            for j, (row, flag) in enumerate(zip(rows, keep)):
+                lines[:, j] = row
+                kept[:, j] = flag
+            fh.write(np.compress(kept.ravel(), lines.ravel()).tobytes())
+
+
+def _decimal(values: np.ndarray) -> tuple[list, list]:
+    """The ASCII bytes of int64 `values` in decimal as rows, one per byte
+    position: '-', then the digits from the most significant.  Each row
+    comes with the mask of the values whose text has that byte; a scalar
+    row or mask holds for every value."""
+    import numpy as np
+
+    negative = values < 0
+    # the magnitude as uint64, so that -2**63 has one too
+    magnitude = values.view(np.uint64)
+    magnitude = np.where(negative, -magnitude, magnitude)
+    top = int(magnitude.max(initial=0))
+    if top < 2**32:
+        magnitude = magnitude.astype(np.uint32)
+    rows, keep = [], []
+    for position in range(len(str(top))):
+        quotient = magnitude // 10
+        rows.append(magnitude - quotient * 10 + ord("0"))
+        # the units digit always, a higher one while digits remain
+        keep.append(magnitude != 0 if position else True)
+        magnitude = quotient
+    return [ord("-"), *rows[::-1]], [negative, *keep[::-1]]
 
 
 def read_dmt(path) -> Trace:
     """Parse a .dmt file into a trace, streaming accesses into its columns.
 
-    The file is read about DMT_CHUNK_BYTES of whole lines at a time.  A
-    chunk whose every line is a canonical access (`_canonical`), as
-    `write_dmt` writes them, is parsed by numpy in one call; any other
-    chunk goes through `_parse_line`, the definition of the format, a
-    line at a time.  Every malformed line raises TraceFormatError with its
-    line number, and so does the access that would take the columns
-    beyond `physical_memory()`; an access to an undeclared object or
-    element is reported by its access index.
+    The file is read about DMT_CHUNK_BYTES of whole lines at a time, and
+    each chunk is split after its leading header, comment and blank lines.
+    Those are parsed in bulk by `_read_headers` when every one is a
+    header as `write_dmt` writes it; the lines after them, when every one
+    is a canonical access (`_canonical`), by numpy in one call.  Any other
+    part of a chunk goes through `_parse_line`, the definition of the
+    format, a line at a time.  Every malformed line raises
+    TraceFormatError with its line number, and so does the access that
+    would take the columns beyond `physical_memory()`; an access to an
+    undeclared object or element is reported by its access index.
+
+    The access columns are int64 numpy buffers, sized from the file size
+    (a pipe's grows by doubling), that the trace takes over.
     """
     import numpy as np
 
-    objects: list[DataObject] = []
-    oids, offsets = array("q"), array("q")
+    table: tuple[list, list, list] = ([], [], [])  # object ids, names, sizes
     memory = physical_memory()
     limit = memory // ACCESS_BYTES
-    lineno = 0
+    count = lineno = 0
     # text mode ends a line at \r\n and a lone \r too; undecodable bytes
     # become lone surrogates, which no integer parse accepts
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        # no access line is shorter than "0 0\n"; a pipe's size reads 0
+        capacity = min(os.fstat(fh.fileno()).st_size // 4 + 1, limit)
+        oids, offsets = np.empty(capacity, dtype=np.int64), np.empty(capacity, dtype=np.int64)
         while raw := fh.read(DMT_CHUNK_BYTES):
             raw += fh.readline()
             text = raw.encode("ascii", errors="surrogateescape")
-            if _canonical(text):
-                values = np.fromstring(text, dtype=np.int64, sep=" ")
+            # one character per byte, so both split at the same index
+            split = _LEADING.match(text).end()
+            if split and not _read_headers(raw[:split], table):
+                _parse_lines(raw[:split], lineno, table)
+            lineno += text.count(b"\n", 0, split)
+            rest = text[split:]
+            if not rest:
+                continue
+            if _canonical(rest):
+                values = np.fromstring(rest, dtype=np.int64, sep=" ")
                 lines = range(lineno + 1, lineno + 1 + len(values) // 2)
             else:
-                values, lines = array("q"), []
-                for i, line in enumerate(raw.split("\n"), start=lineno + 1):
-                    access = _parse_line(line, i, objects)
-                    if access is not None:
-                        values.extend(access)
-                        lines.append(i)
+                values, lines = _parse_lines(raw[split:], lineno, table)
                 values = np.frombuffer(values, dtype=np.int64)
-            if len(oids) + len(lines) > limit:
+            end = count + len(lines)
+            if end > limit:
                 raise TraceFormatError(
                     f"the trace has more than {limit} accesses, {ACCESS_BYTES} bytes each, "
-                    f"more than this machine's {memory} bytes", lines[limit - len(oids)])
-            oids.frombytes(values[0::2].tobytes())
-            offsets.frombytes(values[1::2].tobytes())
-            lineno += text.count(b"\n")
+                    f"more than this machine's {memory} bytes", lines[limit - count])
+            if end > capacity:
+                capacity = min(max(2 * capacity, end), limit)
+                oids, offsets = (np.concatenate((column[:count], np.empty(
+                    capacity - count, dtype=np.int64))) for column in (oids, offsets))
+            oids[count:end] = values[0::2]
+            offsets[count:end] = values[1::2]
+            count = end
+            lineno += rest.count(b"\n")
     try:
-        return Trace.from_columns(objects, oids, offsets)
+        return Trace.from_columns(ObjectTable(*table),
+                                  *(memoryview(column[:count]).cast("B").cast("q")
+                                    for column in (oids, offsets)))
     except ValidationError as exc:
         raise TraceFormatError(str(exc))
+
+
+# a chunk's leading lines that no access can be: headers (and other lines
+# that open with '%'), comments and empty lines
+_LEADING = re.compile(rb"(?:(?:[%#][^\n]*)?\n)*")
+# a header as `write_dmt` writes it, if ObjectTable accepts its name
+_HEADER = re.compile(rf"^%object (-?[0-9]{{1,{DMT_MAX_DIGITS}}}) ([0-9]{{1,{DMT_MAX_DIGITS}}}) (.*)\n",
+                     re.MULTILINE)
+
+
+def _read_headers(text: str, table: tuple[list, list, list]) -> bool:
+    """Append the objects that `text`, whole lines, declares to `table`'s
+    id, name and size columns if every line is a header as `write_dmt`
+    writes it and ObjectTable accepts them as a table; else append none,
+    and return False."""
+    headers = _HEADER.findall(text)
+    if len(headers) != text.count("\n"):
+        return False
+    ids, sizes, names = zip(*headers)
+    new = list(map(int, ids)), names, list(map(int, sizes))
+    try:
+        ObjectTable(*new)
+    except ValidationError:
+        return False
+    for column, values in zip(table, new):
+        column += values
+    return True
+
+
+def _parse_lines(text: str, lineno: int,
+                 table: tuple[list, list, list]) -> tuple[array, list[int]]:
+    """The accesses of `text`, whole lines from line `lineno` + 1 on, each
+    parsed by `_parse_line`, and the line of each; the objects its
+    headers declare are appended to `table`'s id, name and size columns."""
+    objects: list[DataObject] = []
+    values, lines = array("q"), []
+    for i, line in enumerate(text.split("\n"), start=lineno + 1):
+        access = _parse_line(line, i, objects)
+        if access is not None:
+            values.extend(access)
+            lines.append(i)
+    for obj in objects:
+        for column, value in zip(table, (obj.id, obj.name, obj.size)):
+            column.append(value)
+    return values, lines
 
 
 def _canonical(text: bytes) -> bool:

@@ -1,7 +1,9 @@
 """Domain types, layout, granularity scaling, and the .dmt format."""
 
 import math
+import os
 import random
+import subprocess
 import tempfile
 from array import array
 from pathlib import Path
@@ -148,6 +150,30 @@ def test_dmt_round_trip(trace):
         assert read_dmt(path) == trace
 
 
+# the int64 ends, each power of ten and its predecessor with both signs, and
+# the ends of the writer's uint32 digit arithmetic
+WRITER_EDGES = sorted({-(2**63), 2**63 - 1, 2**32 - 1, 2**32, -(2**32 - 1), -(2**32)}
+                      | {s * v for k in range(19) for v in (10**k, 10**k - 1) for s in (1, -1)})
+WRITER_VALUES = INT64 | st.integers(-1000, 1000) | st.sampled_from(WRITER_EDGES)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(WRITER_VALUES, WRITER_VALUES), max_size=40),
+       st.sampled_from([1, 3, core.DMT_WRITE_ACCESSES]))
+@example([], core.DMT_WRITE_ACCESSES)
+@example(list(zip(WRITER_EDGES, reversed(WRITER_EDGES))), core.DMT_WRITE_ACCESSES)
+@example(list(zip(WRITER_EDGES, reversed(WRITER_EDGES))), 3)
+@example([(-(2**63), 2**63 - 1), (-1, 0)], 1)
+def test_written_access_lines_match_percent_formatting(accesses, write_accesses):
+    # the writer spells whatever the columns hold, valid trace or not
+    trace = Trace([], accesses, validate=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.dmt"
+        with mock.patch.object(core, "DMT_WRITE_ACCESSES", write_accesses):
+            write_dmt(trace, path)
+        assert path.read_bytes() == b"".join(b"%d %d\n" % pair for pair in accesses)
+
+
 @settings(max_examples=100, deadline=None)
 @given(dmt_traces(), st.integers(1, 8))
 @example(Trace([DataObject(2, "a", 1), DataObject(0, "b", 1), DataObject(1, "c", 1)],
@@ -279,6 +305,22 @@ LINE_ENDS = st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=25, max_siz
 @example(["0 1", "0"], ["\n"] * 25, False, 14)
 @example(["0 1", f"{2**63} 1"], ["\n"] * 25, True, 14)
 @example(["0 1", "%object 1 2 B", "1 1"], ["\n"] * 25, True, 64)
+# a header block that ends in a name of digits or '-', right before accesses
+@example(["%object 1 2 3", "1 1", "0 3"], ["\n"] * 25, True, 64)
+@example(["%object 2 5 -1", "2 4", "0 3"], ["\n"] * 25, True, 64)
+@example(["%object 1 3 img data", "%object 2 1 a  b", "1 2"], ["\n"] * 25, True, 64)
+# headers, accesses, a header and accesses again in one chunk
+@example(["%object 1 2 B", "0 1", "%object 2 2 C", "2 1"], ["\n"] * 25, True, 64)
+# a chunk ends inside the header block
+@example(["%object 1 2 B", "%object 2 2 C", "1 1", "2 0"], ["\n"] * 25, True, 20)
+@example(["%object 1 2 B", "%object 2 2 C", "1 1"], ["\r\n"] * 25, True, 16)
+@example(["%object  1 2 B", "1 1"], ["\n"] * 25, True, 64)
+@example(["# c", "%object 1 2 B", "", "1 1"], ["\n"] * 25, True, 64)
+@example(["#%object 1 2 B", "0 1"], ["\n"] * 25, True, 64)
+@example(["%object 2 2 C\t", "%object 3 2  C", "0 1"], ["\n"] * 25, True, 64)
+# a repeated id in a header block that is otherwise as written
+@example(["%object 0 5 -1", "0 4"], ["\n"] * 25, True, 64)
+@example(["%object 1 2 B", "%object 1 3 C", "1 1"], ["\n"] * 25, True, 64)
 def test_chunked_reader_matches_line_by_line_parse(lines, ends, final_newline, chunk_bytes):
     text = "%object 0 40 A\n" + "".join(line + end for line, end in zip(lines, ends))
     if not final_newline:
@@ -312,6 +354,9 @@ def test_dmt_ignores_comments_and_blanks(tmp_path):
         ("%object 0 2 A\n0\x0b 1\n", 2),
         ("%object 0 2 A\n0 1\x0c\n", 2),
         ("%object 0 2 A\n0 1\n\x1d0\x1e1\x1f\n", 3),
+        # a bad header after headers as `write_dmt` writes them
+        ("%object 0 2 A\n%object 1 2 B\n%object 2 0 C\n0 1\n", 3),
+        ("%object 0 2 A\n%object 1 2 B\n%object 2 2 C \n0 1\n%object 3 x D\n", 5),
         ("%object\x0c0 2 A\n0 1\n", 1),
         ("%object 0 2\x1fA\n0 1\n", 1),
     ],
@@ -342,6 +387,25 @@ def test_reader_stops_beyond_physical_memory(tmp_path, chunk_bytes):
         with pytest.raises(TraceFormatError, match="more than this machine's") as exc:
             read_dmt(path)
     assert exc.value.line == 6
+
+
+@pytest.mark.parametrize("chunk_bytes", [core.DMT_CHUNK_BYTES, 64])
+def test_dmt_read_through_a_pipe_equals_the_file(tmp_path, chunk_bytes):
+    rng = random.Random(0)
+    objs = [DataObject(0, "A", 1000), DataObject(-7, "b c", 3)]
+    trace = Trace(objs, [(obj.id, rng.randrange(obj.size)) for obj in rng.choices(objs, k=5000)])
+    path, fifo = tmp_path / "t.dmt", tmp_path / "t.fifo"
+    write_dmt(trace, path)
+    os.mkfifo(fifo)
+    # a pipe has no size up front, so the reader's columns grow as it reads
+    feeder = subprocess.Popen(["sh", "-c", 'exec cat -- "$0" > "$1"', str(path), str(fifo)])
+    try:
+        with mock.patch.object(core, "DMT_CHUNK_BYTES", chunk_bytes):
+            piped = read_dmt(fifo)
+        assert feeder.wait(timeout=10) == 0
+    finally:
+        feeder.kill()
+    assert piped == read_dmt(path) == trace
 
 
 def _first_bad_access(objects, accesses):
