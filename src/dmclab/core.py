@@ -421,12 +421,12 @@ def scale_granularity(report: DmdReport, bits: int) -> DmdReport:
 # writes, a chunk's int64 index arrays stay below glibc's 128 KiB mmap
 # threshold and reuse heap pages
 DMT_CHUNK_BYTES = 1 << 15
-# accesses formatted per write.  A chunk of N holds, per column and digit
-# position, a digit row of 4 or 8 bytes and a mask row of 1 byte per access,
-# then a byte matrix and a keep mask of N x W bytes each, W <= 42 the widest
-# line: about 0.8 MiB for conv n=256's lines at 2^14.  2^13 to 2^15 wrote
-# conv n=256 and fft 2^15 equally fast, 2^16 slower.
-DMT_WRITE_ACCESSES = 1 << 14
+# accesses formatted per write.  A chunk of N holds a column's magnitudes
+# (8 bytes per access), per digit position a digit row and a mask row of N
+# bytes each, then a byte matrix and a keep mask of N x W bytes each, W <= 42
+# the widest line: about 0.4 MiB for conv n=256's lines at 2^13.  Writing
+# that trace was as fast at 2^13 as at 2^14, and left 1.3 MB less resident.
+DMT_WRITE_ACCESSES = 1 << 13
 # digits a canonical field may have: every such value fits in int64
 DMT_MAX_DIGITS = 18
 
@@ -475,7 +475,7 @@ def _decimal(values: np.ndarray) -> tuple[list, list]:
     rows, keep = [], []
     for position in range(len(str(top))):
         quotient = magnitude // 10
-        rows.append(magnitude - quotient * 10 + ord("0"))
+        rows.append((magnitude - quotient * 10).astype(np.uint8) + ord("0"))
         # the units digit always, a higher one while digits remain
         keep.append(magnitude != 0 if position else True)
         magnitude = quotient
@@ -541,9 +541,13 @@ def read_dmt(path) -> Trace:
             offsets[count:end] = values[1::2]
             count = end
             lineno += rest.count(b"\n")
+    # give back the tail that the file's size reserved and no access filled;
+    # no view of either buffer exists yet, so the check for one can go
+    oids.resize(count, refcheck=False)
+    offsets.resize(count, refcheck=False)
     try:
         return Trace.from_columns(ObjectTable(*table),
-                                  *(memoryview(column[:count]).cast("B").cast("q")
+                                  *(memoryview(column).cast("B").cast("q")
                                     for column in (oids, offsets)))
     except ValidationError as exc:
         raise TraceFormatError(str(exc))
