@@ -19,7 +19,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 if TYPE_CHECKING:
     import numpy as np
@@ -162,6 +162,21 @@ class ObjectTable(Sequence):
         return NotImplemented
 
 
+def _row_finder(ids: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The rule that maps object ids to the rows of a table whose id column
+    is `ids`: the id itself when the ids are 0 ... K-1, as every generator
+    makes them, else found by binary search.  An id not in a non-empty
+    table maps to a row that, clipped to 0 ... K-1, holds another id."""
+    import numpy as np
+
+    top = len(ids) - 1
+    if np.array_equal(ids, np.arange(len(ids))):
+        return lambda oids: oids
+    by_id = np.argsort(ids)
+    ordered = ids[by_id]
+    return lambda oids: by_id[np.minimum(np.searchsorted(ordered, oids), top)]
+
+
 class Trace:
     """An object table plus an ordered, immutable sequence of accesses.
 
@@ -216,22 +231,22 @@ class Trace:
 
         table = self.objects
         ids = np.frombuffer(table.ids, dtype=np.int64)
-        by_id = np.argsort(ids)
-        ids = ids[by_id]
         # an offset is int64, so a size beyond 2**63 bounds nothing more
-        last = table.size_column()[by_id] - 1
+        last = table.size_column() - 1
         if last.dtype == object:
             last = np.minimum(last, 2**63 - 1).astype(np.int64)
         oids = np.frombuffer(self.oids, dtype=np.int64)
         offsets = np.frombuffer(self.offsets, dtype=np.int64)
         if len(oids) and not len(ids):
             self._reject(0)
+        row_of = _row_finder(ids)
         # a slice at a time, so that the temporaries stay small
         for start in range(0, len(oids), VALIDATE_ACCESSES):
             oid = oids[start:start + VALIDATE_ACCESSES]
             off = offsets[start:start + VALIDATE_ACCESSES]
-            slot = np.minimum(np.searchsorted(ids, oid), len(ids) - 1)
-            bad = (off < 0) | (ids[slot] != oid) | (off > last[slot])
+            slot = row_of(oid)
+            bad = ((off < 0) | (ids.take(slot, mode="clip") != oid)
+                   | (off > last.take(slot, mode="clip")))
             if bad.any():
                 self._reject(start + int(np.argmax(bad)))
 
@@ -252,17 +267,11 @@ class Trace:
         return tuple(zip(self.oids, self.offsets))
 
     def _rows(self) -> np.ndarray:
-        """The row of the object table that holds each access's object:
-        the object id itself when the ids are 0 ... K-1, as every generator
-        makes them, else found by binary search."""
+        """The row of the object table that holds each access's object."""
         import numpy as np
 
         ids = np.frombuffer(self.objects.ids, dtype=np.int64)
-        oids = np.frombuffer(self.oids, dtype=np.int64)
-        if np.array_equal(ids, np.arange(len(ids))):
-            return oids
-        by_id = np.argsort(ids)
-        return by_id[np.searchsorted(ids[by_id], oids)]
+        return _row_finder(ids)(np.frombuffer(self.oids, dtype=np.int64))
 
     def _touched(self) -> list[bool]:
         """Whether each object of the table appears in an access."""
@@ -302,11 +311,6 @@ class LayoutTable:
     ids: array
     starts: array
     block_size: int
-
-    @property
-    def bases(self) -> dict[int, int]:
-        """Object id -> base address."""
-        return dict(zip(self.ids, self.starts))
 
 
 @dataclass(frozen=True)

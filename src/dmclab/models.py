@@ -46,11 +46,13 @@ def model_cold(m: float) -> float:
 class ConvModelResult:
     """Breakdown of spatial convolution cost.
 
-    kernel_term, row_term, col_term are the exact square-image component
-    formulas; `total` is their sum.  `asymptotic` keeps only the two
-    leading terms and is also defined for rectangular images.  `clamped`
-    lists components that went negative (image too small for the
-    formulas) and were clamped to zero.
+    kernel_term, row_term, col_term are the square-image components as
+    the paper prints them, not exact reuse counts: at k = 3, measured
+    kernel reuses run 3.8% above kernel_term.  `total` is their sum.
+    `asymptotic` keeps only the two leading terms and is also defined
+    for rectangular images.  `clamped` lists components that went
+    negative (image too small for the formulas) and were clamped to
+    zero.
     """
 
     kernel_term: float

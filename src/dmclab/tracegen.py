@@ -13,12 +13,14 @@ Every record that exists is valid, so generators trust their arguments.
 The record keeps that evaluation as its `result` attribute, outside its
 fields, so sweeps read the model columns without evaluating it again.
 
-The loop-nest generators append whole loop columns to `array('q')`
-columns.  The recursive FFT generators know each call's place in the
-trace from its parent's, so they write one recursion depth at a time
-into columns allocated at the trace's exact length.  numpy is imported
-only inside the functions that build a trace, so the commands that make
-no trace never load it.
+Every generator allocates its two columns at the trace's exact length,
+from the count function its kernel registers, and places its accesses
+into them a loop nest at a time (`_place`): the trace position where
+each iteration starts and each access's object id and offset are numpy
+expressions in the loop indices.  The recursive FFT generators know
+each call's place in the trace from its parent's, so they place one
+recursion depth at a time.  numpy is imported only inside the functions
+that build a trace, so the commands that make no trace never load it.
 """
 
 from __future__ import annotations
@@ -102,7 +104,8 @@ class Kernel:
 
     params: parameter record; its fields, in order, are the generator's
       arguments and the flags `dmclab gen` reads.
-    generator, count: the trace and its exact length, from those fields.
+    generator, count: the trace and its exact length, from those fields;
+      the generator allocates the trace at `count`'s length.
     sweep_flags: flags a sweep point takes besides the swept size n;
       a flag given as a string (batchconv's --x) is swept as a range too.
     square: (n, *sweep flag values) -> params of the square sweep point.
@@ -125,45 +128,24 @@ class Kernel:
 class _TraceBuilder:
     """Object columns and access columns of a trace under construction.
 
-    Generators emit a loop's accesses a column at a time: the offsets one
-    body position touches over all iterations are one arithmetic column
-    (`arange`), and `_interleave` lays the body's columns out in
-    iteration order.  A generator that knows where each access goes
-    instead `allocate`s the columns at their exact length and `_place`s
-    the accesses.
+    A generator `allocate`s the access columns at the trace's exact
+    length, from its kernel's count function, then `_place`s every access
+    into them, one loop nest per call.
     """
 
     def __init__(self):
         # object i has id i
         self.names: list[str] = []
         self.sizes = array("q")
-        self.oids = array("q")
-        self.offsets = array("q")
-        self._iota = array("q")  # 0, 1, 2, ...: the columns `arange` cuts
 
     def new_object(self, name: str, size: int) -> int:
         self.names.append(name)
         self.sizes.append(size)
         return len(self.names) - 1
 
-    def arange(self, start: int, stop: int, step: int = 1) -> array:
-        """array('q', range(start, stop, step)) for 0 <= start, step > 0."""
-        have = len(self._iota)
-        if stop > have:
-            self._iota.extend(range(have, max(stop, 2 * have)))
-        return self._iota[start:stop:step]
-
-    def access(self, oid: int, offset: int) -> None:
-        self.oids.append(oid)
-        self.offsets.append(offset)
-
-    def extend(self, oids: array, offsets: array) -> None:
-        self.oids.extend(oids)
-        self.offsets.extend(offsets)
-
     def allocate(self, count: int) -> tuple:
         """Make the columns `count` accesses long, uninitialised, and
-        return them as numpy arrays, for a generator that places every
+        return them as numpy arrays, for the generator to place every
         access."""
         import numpy as np
 
@@ -180,18 +162,17 @@ class _TraceBuilder:
                                   self.oids, self.offsets, validate=False)
 
 
-def _repeat(value: int, count: int) -> array:
-    return array("q", [value]) * count
-
-
-def _interleave(*columns: array) -> array:
-    """columns[0][0], columns[1][0], ..., columns[0][1], columns[1][1], ...:
-    the accesses of a loop whose body touches one element of each column."""
-    m = len(columns)
-    out = _repeat(0, m * len(columns[0]))
-    for i, col in enumerate(columns):
-        out[i::m] = col
-    return out
+def _place(columns: tuple, at, *body) -> None:
+    """Write one loop nest's accesses into `columns`, numpy views of a
+    trace's two columns.  Each iteration runs `body`, its accesses in
+    order, from trace position `at` on.  `at` and each access's (object
+    ids, offsets) pair are expressions in the loop indices: `at` an array
+    over the nest's iteration space, the pairs arrays that broadcast to
+    its shape."""
+    for i, access in enumerate(body):
+        where = at + i
+        for column, values in zip(columns, access):
+            column[where] = values
 
 
 def generate(spec: GenSpec) -> Trace:
@@ -204,16 +185,8 @@ def access_count(spec: GenSpec) -> int:
     return KERNELS[spec.algorithm].count(*astuple(spec.params))
 
 
-def _fft_access_count(n: int) -> int:
-    # each call of size N > 1: 2N divide accesses + 5N/2 conquer accesses
-    total = 0
-    size = n
-    calls = 1
-    while size > 1:
-        total += calls * (2 * size + 5 * size // 2)
-        calls *= 2
-        size //= 2
-    return total + n  # one read per base case
+def _matmul_count(m: int, n: int, l: int) -> int:
+    return m * l * (2 * n + 1)
 
 
 def gen_matmul(m: int, n: int, l: int) -> Trace:
@@ -222,16 +195,22 @@ def gen_matmul(m: int, n: int, l: int) -> Trace:
     Per inner iteration: read A[i][k], read B[k][j]; the running sum
     stays in a register and C[i][j] is written once per (i, j).
     """
+    import numpy as np
+
     b = _TraceBuilder()
     a_obj = b.new_object("A", m * n)
     b_obj = b.new_object("B", n * l)
     c_obj = b.new_object("C", m * l)
-    inner_oids = array("q", [a_obj, b_obj]) * n
-    for i in range(m):
-        for j in range(l):
-            b.extend(inner_oids, _interleave(b.arange(i * n, i * n + n), b.arange(j, n * l, l)))
-            b.access(c_obj, i * l + j)
+    columns = b.allocate(_matmul_count(m, n, l))
+    i, j, kk = np.ogrid[:m, :l, :n]
+    product = (2 * n + 1) * (i * l + j)  # where C[i][j]'s product starts
+    _place(columns, product + 2 * kk, (a_obj, i * n + kk), (b_obj, kk * l + j))
+    _place(columns, product + 2 * n, (c_obj, i * l + j))
     return b.build()
+
+
+def _conv_count(h: int, w: int, k: int) -> int:
+    return (h - k + 1) * (w - k + 1) * (2 * k**2 + 1)
 
 
 def gen_conv(h: int, w: int, k: int) -> Trace:
@@ -240,22 +219,24 @@ def gen_conv(h: int, w: int, k: int) -> Trace:
     Windows sweep row-major; per kernel cell the kernel element is read,
     then the image element; one result write per window.
     """
+    import numpy as np
+
     b = _TraceBuilder()
     img = b.new_object("I", h * w)
     ker = b.new_object("K", k * k)
     res = b.new_object("R", (h - k + 1) * (w - k + 1))
+    columns = b.allocate(_conv_count(h, w, k))
     out_w = w - k + 1
-    window_oids = array("q", [ker, img] * (k * k) + [res]) * out_w
-    for i in range(h - k + 1):
-        # one iteration per window of output row i
-        columns = []
-        for y in range(k):
-            for x in range(k):
-                start = (i + y) * w + x
-                columns += [_repeat(y * k + x, out_w), b.arange(start, start + out_w)]
-        columns.append(b.arange(i * out_w, i * out_w + out_w))
-        b.extend(window_oids, _interleave(*columns))
+    i, j, cell = np.ogrid[:h - k + 1, :out_w, :k * k]
+    y, x = divmod(cell, k)
+    window = (2 * k * k + 1) * (i * out_w + j)  # where window (i, j) starts
+    _place(columns, window + 2 * cell, (ker, cell), (img, (i + y) * w + x + j))
+    _place(columns, window + 2 * k * k, (res, i * out_w + j))
     return b.build()
+
+
+def _im2col_count(n: int, k: int) -> int:
+    return (n - k + 1) ** 2 * (4 * k**2 + 1)
 
 
 def gen_im2col(n: int, k: int) -> Trace:
@@ -267,31 +248,29 @@ def gen_im2col(n: int, k: int) -> Trace:
     with the flattened kernel, register accumulator, one write per
     output element.
     """
+    import numpy as np
+
     b = _TraceBuilder()
     img = b.new_object("I", n * n)
     ker = b.new_object("Kv", k * k)
     out_n = n - k + 1
     patches = b.new_object("R", out_n * out_n * k * k)
     out = b.new_object("out", out_n * out_n)
+    columns = b.allocate(_im2col_count(n, k))
     kk = k * k
-    copy_oids = array("q", [img, patches] * kk) * out_n
-    for i in range(out_n):
-        # one iteration per window of output row i
-        first_row = i * out_n * kk
-        columns = []
-        for y in range(k):
-            for x in range(k):
-                start = (i + y) * n + x
-                cell = first_row + y * k + x
-                columns += [b.arange(start, start + out_n), b.arange(cell, cell + out_n * kk, kk)]
-        b.extend(copy_oids, _interleave(*columns))
-    rows = out_n * out_n
-    columns = []
-    for col in range(kk):
-        columns += [b.arange(col, rows * kk, kk), _repeat(col, rows)]
-    columns.append(b.arange(0, rows))
-    b.extend(array("q", [patches, ker] * kk + [out]) * rows, _interleave(*columns))
+    i, j, cell = np.ogrid[:out_n, :out_n, :kk]
+    y, x = divmod(cell, k)
+    row = i * out_n + j  # the patch row of window (i, j)
+    _place(columns, 2 * (row * kk + cell), (img, (i + y) * n + x + j), (patches, row * kk + cell))
+    row, col = np.ogrid[:out_n * out_n, :kk]
+    product = 2 * kk * out_n * out_n + (2 * kk + 1) * row  # where out[row]'s product starts
+    _place(columns, product + 2 * col, (patches, row * kk + col), (ker, col))
+    _place(columns, product + 2 * kk, (out, row))
     return b.build()
+
+
+def _batched_count(n: int, k: int, c: int, x: int) -> int:
+    return c * _conv_count(n, n, k)
 
 
 def gen_batched_conv(n: int, k: int, c: int, x: int) -> Trace:
@@ -301,41 +280,28 @@ def gen_batched_conv(n: int, k: int, c: int, x: int) -> Trace:
     into one shared result.  Loop order: batch, window, channel in
     batch, kernel cells, then one accumulate access to R per channel.
     """
+    import numpy as np
+
     b = _TraceBuilder()
     imgs = [b.new_object(f"I{ch}", n * n) for ch in range(c)]
     kers = [b.new_object(f"K{ch}", k * k) for ch in range(c)]
     out_n = n - k + 1
     res = b.new_object("R", out_n * out_n)
-    for batch in range(c // x):
-        channels = range(batch * x, (batch + 1) * x)
-        window_oids = array(
-            "q", [o for ch in channels for o in [kers[ch], imgs[ch]] * (k * k) + [res]]
-        ) * out_n
-        for i in range(out_n):
-            # one iteration per window of output row i
-            cells = []
-            for y in range(k):
-                for xx in range(k):
-                    start = (i + y) * n + xx
-                    cells += [_repeat(y * k + xx, out_n), b.arange(start, start + out_n)]
-            result = b.arange(i * out_n, i * out_n + out_n)
-            b.extend(window_oids, _interleave(*((cells + [result]) * x)))
+    columns = b.allocate(_batched_count(n, k, c, x))
+    batch, i, j, lane, cell = np.ogrid[:c // x, :out_n, :out_n, :x, :k * k]
+    ch = batch * x + lane
+    y, xx = divmod(cell, k)
+    # where channel ch's pass over window (i, j) starts
+    window = (2 * k * k + 1) * (((batch * out_n + i) * out_n + j) * x + lane)
+    _place(columns, window + 2 * cell, (kers[0] + ch, cell), (imgs[0] + ch, (i + y) * n + xx + j))
+    _place(columns, window + 2 * k * k, (res, i * out_n + j))
     return b.build()
 
 
-def _place(columns: tuple, starts, width: int, *accesses) -> None:
-    """Write into `columns`, numpy views of a trace's two columns, one
-    loop of `width` iterations for each k, from position starts[k] on.
-    Each access of the loop body is an (object ids, offsets) pair of
-    arrays that broadcast to (len(starts), width)."""
-    import numpy as np
-
-    where = (starts[:, None] + np.arange(width * len(accesses))).ravel()
-    for column, part in zip(columns, (0, 1)):
-        block = np.empty((len(starts), width, len(accesses)), dtype=np.int64)
-        for i, access in enumerate(accesses):
-            block[:, :, i] = access[part]
-        column[where] = block.ravel()
+def _fft_access_count(n: int) -> int:
+    # a call of size m > 1 makes 2m divide and 5m/2 conquer accesses, and
+    # each of the log2(n) depths has n/m of them; a base case makes one
+    return n + 9 * n * (n.bit_length() - 1) // 2
 
 
 def _fft_fill(
@@ -375,7 +341,7 @@ def _fft_fill(
     names = np.empty(count * per_call, dtype=object)
     sizes = np.empty(count * per_call, dtype=np.int64)
 
-    starts = at + _fft_access_count(n) * np.arange(count)
+    starts = (at + _fft_access_count(n) * np.arange(count))[:, None]
     ids = first + per_call * np.arange(count)  # each call's first object id
     m = n
     while m > 1:
@@ -384,23 +350,24 @@ def _fft_fill(
         even, odd = ids, ids + 1 + sub_objects
         y = odd + 1 + sub_objects
         col = np.arange(h)
-        _place(columns, starts, h, (in_oids[:, 0::2], in_offsets[:, 0::2]), (even[:, None], col))
-        _place(columns, starts + m + sub_accesses, h,
+        _place(columns, starts + 2 * col,
+               (in_oids[:, 0::2], in_offsets[:, 0::2]), (even[:, None], col))
+        _place(columns, starts + m + sub_accesses + 2 * col,
                (in_oids[:, 1::2], in_offsets[:, 1::2]), (odd[:, None], col))
         # a child's result is the last object of its subtree, its copy if h = 1
-        _place(columns, starts + 2 * m + 2 * sub_accesses, h,
+        _place(columns, starts + 2 * m + 2 * sub_accesses + 5 * col,
                ((even + sub_objects)[:, None], col), (omega, col * (n // m)),
                ((odd + sub_objects)[:, None], col), (y[:, None], col), (y[:, None], col + h))
         for made, suffix, size in ((even, ".even", h), (odd, ".odd", h), (y, ".y", m)):
             names[made - first] = np.array([label + suffix for label in labels], dtype=object)
             sizes[made - first] = size
-        starts = np.stack([starts + m, starts + 2 * m + sub_accesses], axis=1).ravel()
+        starts = np.stack([starts + m, starts + 2 * m + sub_accesses], axis=1).reshape(-1, 1)
         ids = np.stack([even + 1, odd + 1], axis=1).ravel()
         copies = np.stack([even, odd], axis=1).reshape(-1, 1)
         in_oids, in_offsets = np.broadcast_arrays(copies, col)
         labels = [label + child for label in labels for child in (".e", ".o")]
         m = h
-    _place(columns, starts, 1, (in_oids[:, :1], in_offsets[:, :1]))
+    _place(columns, starts, (in_oids[:, :1], in_offsets[:, :1]))
     b.names += names.tolist()
     b.sizes.frombytes(sizes.tobytes())
     if n == 1:
@@ -424,6 +391,11 @@ def gen_fft(n: int) -> Trace:
     columns = b.allocate(_fft_access_count(n))
     _fft_fill(b, columns, 0, omega, (np.full((1, n), a_obj), np.arange(n)[None, :]), ["f"])
     return b.build()
+
+
+def _fftconv2d_count(n: int) -> int:
+    # three 2D transforms of 2n transforms each, then n*n product triples
+    return 3 * (2 * n * _fft_access_count(n)) + 3 * n * n
 
 
 def gen_fft_conv2d(n: int) -> Trace:
@@ -456,24 +428,12 @@ def gen_fft_conv2d(n: int) -> Trace:
     img_t = transform2d(img, 2 * per_pass, "I")
     prod = b.new_object("P", n * n)
     at = 4 * per_pass
-    _place(columns, np.array([at]), n * n,
-           (ker_t[0].ravel(), ker_t[1].ravel()), (img_t[0].ravel(), img_t[1].ravel()),
-           (prod, cells.ravel()))
+    _place(columns, at + 3 * cells, ker_t, img_t, (prod, cells))
     transform2d(prod, at + 3 * n * n, "P")
     return b.build()
 
 
 # --- kernel registry --------------------------------------------------------
-
-
-def _im2col_count(n: int, k: int) -> int:
-    nw = (n - k + 1) ** 2
-    return nw * 2 * k**2 + nw * (2 * k**2 + 1)
-
-
-def _fftconv2d_count(n: int) -> int:
-    per_2d = 2 * n * _fft_access_count(n)
-    return 3 * per_2d + 3 * n * n
 
 
 def _fft_columns(p: FftParams) -> dict:
@@ -483,13 +443,11 @@ def _fft_columns(p: FftParams) -> dict:
 
 KERNELS = {
     "matmul": Kernel(
-        MatmulParams, gen_matmul,
-        lambda m, n, l: 2 * m * n * l + m * l,
+        MatmulParams, gen_matmul, _matmul_count,
         (), lambda n: MatmulParams(n, n, n),
         lambda p: {"model_total": p.result}),
     "conv": Kernel(
-        ConvParams, gen_conv,
-        lambda h, w, k: (h - k + 1) * (w - k + 1) * (2 * k**2 + 1),
+        ConvParams, gen_conv, _conv_count,
         ("k",), lambda n, k: ConvParams(n, n, k),
         lambda p: {"model_total": p.result.total, "model_asymptotic": p.result.asymptotic}),
     "im2col": Kernel(
@@ -497,8 +455,7 @@ KERNELS = {
         ("k",), Im2colParams,
         lambda p: {"model_total": p.result.total}),
     "batchconv": Kernel(
-        BatchParams, gen_batched_conv,
-        lambda n, k, c, x: (n - k + 1) ** 2 * c * (2 * k**2 + 1),
+        BatchParams, gen_batched_conv, _batched_count,
         ("k", "c", "x"), BatchParams,
         lambda p: {"model_total": p.result.total}),
     "fft": Kernel(

@@ -75,10 +75,11 @@ def test_analysis_config_validation():
 def test_build_layout_aligns_and_never_overlaps():
     objs = [DataObject(0, "a", 5), DataObject(1, "b", 3), DataObject(2, "c", 9)]
     layout = build_layout(objs, 4)
-    assert layout.bases == {0: 0, 1: 8, 2: 12}
+    bases = dict(zip(layout.ids, layout.starts))
+    assert bases == {0: 0, 1: 8, 2: 12}
     for obj in objs:
-        assert layout.bases[obj.id] % 4 == 0
-    spans = sorted((layout.bases[o.id], layout.bases[o.id] + o.size) for o in objs)
+        assert bases[obj.id] % 4 == 0
+    spans = sorted((bases[o.id], bases[o.id] + o.size) for o in objs)
     for (_, end), (start, _) in zip(spans, spans[1:]):
         assert start >= end
 
@@ -86,7 +87,7 @@ def test_build_layout_aligns_and_never_overlaps():
 def test_build_layout_block_one_is_contiguous():
     objs = [DataObject(0, "a", 5), DataObject(1, "b", 3)]
     layout = build_layout(objs, 1)
-    assert layout.bases == {0: 0, 1: 5}
+    assert dict(zip(layout.ids, layout.starts)) == {0: 0, 1: 5}
 
 
 def test_scale_granularity_exact():
@@ -531,12 +532,13 @@ def test_vectorised_layout_matches_loop(sizes, block_size):
         with pytest.raises(ValidationError, match=f"^layout spans {end} elements"):
             build_layout(objs, block_size)
     else:
-        assert build_layout(objs, block_size).bases == bases
+        layout = build_layout(objs, block_size)
+        assert dict(zip(layout.ids, layout.starts)) == bases
 
 
 def _block_ids_loop(trace, layout):
     """The reference: (base + offset) // block_size, access by access."""
-    bases = layout.bases
+    bases = dict(zip(layout.ids, layout.starts))
     return [(bases[oid] + off) // layout.block_size for oid, off in trace.accesses]
 
 

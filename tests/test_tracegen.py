@@ -2,10 +2,18 @@
 
 import hashlib
 import io
+import itertools
 
 import pytest
 
-from dmclab.core import COLD_POLICIES, AnalysisConfig, DataObject, ValidationError, write_dmt
+from dmclab.core import (
+    COLD_POLICIES,
+    AnalysisConfig,
+    DataObject,
+    Trace,
+    ValidationError,
+    write_dmt,
+)
 from dmclab.engine import analyze_trace, stack_distances_fast
 import numpy as np
 
@@ -13,9 +21,11 @@ from dmclab.tracegen import (
     BatchParams,
     ConvParams,
     FftParams,
+    KERNELS,
     GenSpec,
     Im2colParams,
     MatmulParams,
+    _TraceBuilder,
     access_count,
     gen_batched_conv,
     gen_conv,
@@ -35,9 +45,37 @@ SPECS = [
 ]
 
 
+def _small_grid(alg: str) -> list:
+    """Every valid parameter record of `alg` whose fields lie in 1..5."""
+    kernel = KERNELS[alg]
+    records = []
+    for values in itertools.product(range(1, 6), repeat=len(kernel.param_names)):
+        try:
+            records.append(kernel.params(*values))
+        except ValidationError:
+            pass
+    return records
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.algorithm)
-def test_access_count_matches_generated_length(spec):
-    assert len(generate(spec)) == access_count(spec)
+def test_access_count_matches_generated_length(spec, monkeypatch):
+    # the columns start as -1, so a position no access was placed at shows
+    allocate = _TraceBuilder.allocate
+
+    def allocate_filled(builder, count):
+        columns = allocate(builder, count)
+        for column in columns:
+            column.fill(-1)
+        return columns
+
+    monkeypatch.setattr(_TraceBuilder, "allocate", allocate_filled)
+    for params in [spec.params, *_small_grid(spec.algorithm)]:
+        point = GenSpec(spec.algorithm, params)
+        trace = generate(point)
+        assert len(trace) == access_count(point)
+        for column in (trace.oids, trace.offsets):
+            assert -1 not in np.frombuffer(column, dtype=np.int64), params
+        Trace.from_columns(trace.objects, trace.oids, trace.offsets)  # every access in bounds
 
 
 def test_known_access_counts():
@@ -231,6 +269,32 @@ FFT_DIGESTS = [
 def test_fft_generators_emit_pinned_traces(alg, n, digest):
     generator = {"fft": gen_fft, "fftconv2d": gen_fft_conv2d}[alg]
     assert _digest(generator(n)) == digest
+
+
+# the traces of the loop-by-loop generators that the loop-nest placement
+# replaced, at sizes beyond the golden commands'
+LOOP_NEST_DIGESTS = [
+    ("matmul", (16, 5, 4), "5cbe2c2c619eae3e341e94a070b9c5f96209576abf82c420b0b81631373ec026"),
+    ("matmul", (1, 1, 1), "db41cee5534e2297a0bfeb4db1dd3da0deca83a4859ba8be9af9446c56bb34ed"),
+    ("matmul", (7, 13, 3), "198b8c1d95b96db2f01cf800796f890d7cba13f73b71bd4f64438fae9174b452"),
+    ("conv", (64, 64, 3), "f695e452b711ed3b345b640766ebce2ae58100c2a289ad41313b30b014807ded"),
+    ("conv", (17, 11, 5), "06008068bf3c316cb4347dfb26ef9cd25cc5825866ec0b1eedf8341747e9ac5a"),
+    ("conv", (9, 30, 1), "bfc1dfcb76a1018ad5dacf6fcf86c64c554ded5ed720d1a7e49bd93567a8e1db"),
+    ("conv", (7, 7, 7), "f66bbec53263cb04543cbf09f75ef29021746851e67c36c6c9e03488e38b4af2"),
+    ("im2col", (40, 5), "dd2fd8e93b14ccebd7e448cb4055fbe793d0f51364749380c98224b543a249db"),
+    ("im2col", (9, 1), "74fbdc9db6e0e46ae22559aa8423f41ae104ceb324437664d6d8220a5a1565b1"),
+    ("im2col", (6, 6), "83728ed4af4945c667d73af199958e03f547b3d083df59362075c898ab3610ae"),
+    ("batchconv", (17, 3, 6, 2), "ebf5f0302e544a9e81a0d0e80dc8ee09c8d2a4e9cf97c50251458afa21b41188"),
+    ("batchconv", (17, 3, 6, 3), "642bc13d07a7df55e3efda51cc39fef322a5ab218de07fcec150fb7daa7863f3"),
+    ("batchconv", (9, 2, 4, 4), "7554734f51396b6dd1edf9297f02233b04b3929f30f0a3136757ec79ea2d0d1c"),
+    ("batchconv", (5, 5, 3, 1), "296c1e08ce04fa751ec25bccf139f96798cb7ac1e41fbdba3e6387b7176ca23a"),
+]
+
+
+@pytest.mark.parametrize("alg,params,digest", LOOP_NEST_DIGESTS,
+                         ids=lambda v: str(v).replace(" ", "")[:12])
+def test_loop_nest_generators_emit_pinned_traces(alg, params, digest):
+    assert _digest(KERNELS[alg].generator(*params)) == digest
 
 
 @pytest.mark.parametrize("generator,n", [(gen_fft, 1024), (gen_fft_conv2d, 8)])
