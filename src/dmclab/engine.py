@@ -13,13 +13,14 @@ the distance of a reuse is the dominance count
 
     d(i) = #{j < i : prev[j] <= prev[i]} - prev[i],
 
-taken exactly in integer arithmetic over log2 N vectorised passes, each
-a stable partition by one bit of prev's rank.  The passes over the high
-bits run over all reuses at once; each later pass stays inside one
-segment of 2^16 ranks, so every segment takes its remaining passes while
-it is in cache.  The two engines' outputs are equal element-wise for
-every trace.  numpy is imported only inside the functions that analyse
-a trace, so the CLI's model and advice commands never load it.
+taken exactly in integer arithmetic.  prev comes from one sort of keys
+packed beside their positions, or a stable argsort of keys too wide for
+that.  The count takes log2 N - 6 passes, each a stable partition by one
+bit of prev's rank: over all reuses for the high bits, then one segment
+of 2^16 ranks at a time while it is in cache; a bitset popcount counts
+the low six bits.  The engines' outputs are equal element-wise for every
+trace.  numpy is imported only inside the functions that analyse a
+trace, so the CLI's model and advice commands never load it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from dmclab.core import (
     ObjectTable,
     Trace,
     ValidationError,
+    _row_finder,
     build_layout,
     scale_granularity,
 )
@@ -55,6 +57,9 @@ _MAX_ACCESSES = 2**31 - 1
 # the passes over the bits below this one run one segment of 2^16 slots
 # (512 KiB of int64) at a time, while it stays in a core's L2 cache
 _SEGMENT_BITS = 16
+
+# the rank bits below this one (at most 6 and _SEGMENT_BITS) are counted by a uint64 bitset
+_FINISH_BITS = 6
 
 
 def stack_distances_oracle(trace: Trace) -> DistanceSequence:
@@ -86,15 +91,14 @@ def _block_ids(trace: Trace, layout: LayoutTable) -> np.ndarray:
     table = trace.objects
     starts = np.frombuffer(layout.starts, dtype=np.int64)
     if layout.ids != table.ids:
-        # the layout's row of each object, by binary search
+        # the layout's row of each object, by the rule of Trace._rows
         ids = np.frombuffer(layout.ids, dtype=np.int64)
         wanted = np.frombuffer(table.ids, dtype=np.int64)
-        by_id = np.argsort(ids)
-        row = np.searchsorted(ids[by_id], wanted)
-        missing = row == np.searchsorted(ids[by_id], wanted, side="right")
+        row = _row_finder(ids)(wanted)
+        missing = ids.take(row, mode="clip") != wanted if len(ids) else np.full(len(wanted), True)
         if missing.any():
             raise ValidationError(f"layout does not cover object ids {wanted[missing].tolist()}")
-        starts = starts[by_id[row]]
+        starts = starts[row]
     if (table.size_column() > (2**63 - 1) - starts).any():
         end = max(map(operator.add, starts.tolist(), table.sizes))
         raise ValidationError(f"layout spans {end} elements, beyond 64-bit addresses")
@@ -158,13 +162,15 @@ def _count_smaller_before(ranks: np.ndarray) -> np.ndarray:
     fills the slots [g * 2^(l+1), (g+1) * 2^(l+1)), its 2^l clear-bit
     ranks first.  A rank with bit l set exceeds every earlier rank of its
     group with bit l clear; the pass counts those, then splits each group
-    stably by bit l.  After the last pass rank r sits in slot r.
+    stably by bit l.
 
     Each slot holds rank << 32 | count in one int64, so a pass moves one
     array.  The passes over bits _SEGMENT_BITS and up run over all slots.
     Every later pass stays inside one segment of 2^_SEGMENT_BITS slots,
     so each segment then takes all its remaining passes while it is in
-    cache.
+    cache.  They stop at bit _FINISH_BITS: each group of 2^_FINISH_BITS
+    slots holds as many consecutive ranks, and a running OR of their
+    one-hot low bits counts the smaller ones before each slot.
     """
     import numpy as np
 
@@ -177,12 +183,25 @@ def _count_smaller_before(ranks: np.ndarray) -> np.ndarray:
     spare = np.empty_like(slots)
     mask = np.empty(len(slots), dtype=bool)
     _partition(slots, spare, range(top - 1, low - 1, -1), mask, columns)
-    size = 1 << _SEGMENT_BITS
+    size, group = 1 << _SEGMENT_BITS, 1 << _FINISH_BITS
+    buffers = np.empty((2, size), dtype=np.uint64)
     for lo in range(0, len(slots), size):
         segment = slots[lo:lo + size]
         n = len(segment)
         # every segment reuses the same head of the buffers, still in cache
-        _partition(segment, spare[:n], range(low - 1, -1, -1), mask[:n], columns)
+        _partition(segment, spare[:n], range(low - 1, _FINISH_BITS - 1, -1), mask[:n], columns)
+        # whole groups: the padding after the last slot changes no slot before it
+        whole = -(-n // group) * group
+        bit, seen = buffers[:, :whole]
+        np.right_shift(segment.view(np.uint64), 32, out=bit[:n])
+        bit &= group - 1
+        np.left_shift(1, bit, out=bit)
+        np.bitwise_or.accumulate(bit.reshape(-1, group), axis=1, out=seen.reshape(-1, group))
+        bit -= 1  # the bits of the smaller ranks
+        bit &= seen
+        segment += np.bitwise_count(bit[:n])
+        spare[(segment >> 32) & (size - 1)] = segment  # rank r to slot r
+        segment[:] = spare[:n]
     del spare, mask
     slots &= 0xFFFFFFFF
     return slots[ranks]
@@ -196,8 +215,19 @@ def _reuse_distances(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = len(keys)
     if n > _MAX_ACCESSES:
         raise ValidationError(f"{n} accesses exceed the fast engine's limit of {_MAX_ACCESSES}")
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
+    # order by (key, position): a plain sort of key << shift | position if it fits
+    shift = max(n - 1, 0).bit_length()
+    bound = 1 << (63 - shift)
+    if n and -bound <= keys.min() and keys.max() < bound:
+        sorted_keys = np.arange(n)  # the positions until the sort is done
+        order = keys << shift
+        order |= sorted_keys
+        order.sort()
+        np.right_shift(order, shift, out=sorted_keys)
+        order &= (1 << shift) - 1
+    else:
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
     same = sorted_keys[1:] == sorted_keys[:-1]
     del sorted_keys  # arrays go once used: on long traces they set peak memory
     prev = np.full(n, -1, dtype=np.int64)

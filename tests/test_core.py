@@ -552,6 +552,7 @@ SPARSE_IDS = st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=6, uniq
 @example([0, 1, 2], 4, False, None)  # dense: a gather
 @example([-5, 7, 2**40], 2, False, None)  # sparse and negative: a binary search
 @example([1, 0], 1, True, None)
+@example([7], 1, True, None)  # the partial layout is empty
 def test_block_ids_match_a_loop(ids, block_size, own_order, data):
     sizes = [3 + 2 * i for i in range(len(ids))]
     objs = [DataObject(oid, f"o{oid}", size) for oid, size in zip(ids, sizes)]

@@ -195,18 +195,49 @@ def _scrambled(n: int) -> list[int]:
     return ranks
 
 
+# (segment bits, finish bits): a finish never wider than a segment or 6 bits
+SEGMENT_AND_FINISH = st.integers(1, 7).flatmap(
+    lambda s: st.tuples(st.just(s), st.integers(0, min(s, 6))))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 300).flatmap(lambda n: st.permutations(range(n))), st.integers(1, 3))
-@example(_scrambled(300), 1)  # 150 segments
-@example(_scrambled(299), 3)  # partial last segment
-@example(_scrambled(6), 3)  # one segment
-@example([0], 1)
-@example([], 2)
-def test_count_smaller_before_matches_brute_force(ranks, segment_bits):
+@given(st.integers(0, 300).flatmap(lambda n: st.permutations(range(n))), SEGMENT_AND_FINISH)
+@example(_scrambled(300), (1, 1))  # 150 segments, each one finish group
+@example(_scrambled(299), (3, 2))  # partial last segment and group
+@example(_scrambled(6), (3, 3))  # one segment, one partial group
+@example(_scrambled(1000), (8, 6))  # four segments of four groups of 64
+@example(_scrambled(300), (16, 6))  # the engine's own widths
+@example([0], (1, 0))
+@example([], (2, 1))
+def test_count_smaller_before_matches_brute_force(ranks, bits):
+    segment_bits, finish_bits = bits
     ranks = np.array(ranks, dtype=np.int32)
     earlier = np.tri(len(ranks), k=-1, dtype=bool)  # earlier[i, j]: j < i
     expected = ((ranks[None, :] < ranks[:, None]) & earlier).sum(axis=1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_SEGMENT_BITS", segment_bits)
+        patch.setattr(engine, "_FINISH_BITS", finish_bits)
         counts = engine._count_smaller_before(ranks)
     assert counts.tolist() == expected.tolist()
+
+
+def test_keys_too_wide_to_pack_beside_positions():
+    # a layout of about 2^62 elements: its keys leave no room beside a
+    # position in an int64, so prev comes from the stable argsort
+    objs = [DataObject(0, "A", 2**62), DataObject(1, "B", 5)]
+    rng = random.Random(62)
+    offsets = [0, 1, 2**61, 2**62 - 1]
+    accesses = [rng.choice([(0, rng.choice(offsets)), (1, rng.randrange(5))]) for _ in range(60)]
+    trace = Trace(objs, accesses)
+    assert stack_distances_fast(trace) == stack_distances_oracle(trace)
+    keys = engine._block_ids(trace, build_layout(objs, 1))
+    assert keys.max() >= 2 ** (63 - (len(keys) - 1).bit_length())
+    # distances depend only on which keys are equal: the same keys renamed
+    # 0, 1, ... or just below zero take the packed sort, and negated they
+    # take the argsort again
+    reuse, distances = engine._reuse_distances(keys)
+    small = np.searchsorted(np.sort(keys), keys)
+    for column in (small, small - len(small), -keys):
+        packed = engine._reuse_distances(column)
+        assert packed[0].tolist() == reuse.tolist()
+        assert packed[1].tolist() == distances.tolist()
