@@ -184,7 +184,7 @@ def _count_smaller_before(ranks: np.ndarray) -> np.ndarray:
     mask = np.empty(len(slots), dtype=bool)
     _partition(slots, spare, range(top - 1, low - 1, -1), mask, columns)
     size, group = 1 << _SEGMENT_BITS, 1 << _FINISH_BITS
-    buffers = np.empty((2, size), dtype=np.uint64)
+    buffers = np.empty((2, min(size, len(slots) + group)), dtype=np.uint64)
     for lo in range(0, len(slots), size):
         segment = slots[lo:lo + size]
         n = len(segment)

@@ -205,7 +205,7 @@ SEGMENT_AND_FINISH = st.integers(1, 7).flatmap(
 @example(_scrambled(300), (1, 1))  # 150 segments, each one finish group
 @example(_scrambled(299), (3, 2))  # partial last segment and group
 @example(_scrambled(6), (3, 3))  # one segment, one partial group
-@example(_scrambled(1000), (8, 6))  # four segments of four groups of 64
+@example(_scrambled(1000), (8, 6))  # segments of four groups of 64, the last partial
 @example(_scrambled(300), (16, 6))  # the engine's own widths
 @example([0], (1, 0))
 @example([], (2, 1))
@@ -238,6 +238,6 @@ def test_keys_too_wide_to_pack_beside_positions():
     reuse, distances = engine._reuse_distances(keys)
     small = np.searchsorted(np.sort(keys), keys)
     for column in (small, small - len(small), -keys):
-        packed = engine._reuse_distances(column)
-        assert packed[0].tolist() == reuse.tolist()
-        assert packed[1].tolist() == distances.tolist()
+        same_reuse, same_distances = engine._reuse_distances(column)
+        assert same_reuse.tolist() == reuse.tolist()
+        assert same_distances.tolist() == distances.tolist()
