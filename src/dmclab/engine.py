@@ -184,15 +184,13 @@ def _count_smaller_before(ranks: np.ndarray) -> np.ndarray:
     mask = np.empty(len(slots), dtype=bool)
     _partition(slots, spare, range(top - 1, low - 1, -1), mask, columns)
     size, group = 1 << _SEGMENT_BITS, 1 << _FINISH_BITS
-    buffers = np.empty((2, min(size, len(slots) + group)), dtype=np.uint64)
     for lo in range(0, len(slots), size):
         segment = slots[lo:lo + size]
         n = len(segment)
         # every segment reuses the same head of the buffers, still in cache
         _partition(segment, spare[:n], range(low - 1, _FINISH_BITS - 1, -1), mask[:n], columns)
-        # whole groups: the padding after the last slot changes no slot before it
-        whole = -(-n // group) * group
-        bit, seen = buffers[:, :whole]
+        whole = -(-n // group) * group  # the padding changes no slot before it
+        bit, seen = np.empty((2, whole), dtype=np.uint64)
         np.right_shift(segment.view(np.uint64), 32, out=bit[:n])
         bit &= group - 1
         np.left_shift(1, bit, out=bit)
@@ -200,7 +198,9 @@ def _count_smaller_before(ranks: np.ndarray) -> np.ndarray:
         bit -= 1  # the bits of the smaller ranks
         bit &= seen
         segment += np.bitwise_count(bit[:n])
-        spare[(segment >> 32) & (size - 1)] = segment  # rank r to slot r
+        place = np.right_shift(segment, 32, out=seen[:n].view(np.int64))
+        place &= size - 1
+        spare[place] = segment  # rank r to slot r
         segment[:] = spare[:n]
     del spare, mask
     slots &= 0xFFFFFFFF
