@@ -6,12 +6,17 @@ advise (parameter recommendations).
 
 Exit codes: 0 success, 1 usage error, 2 validation or data error.
 Every command is deterministic given its flags.
+
+`main(argv)` may be called any number of times in one process. The parser
+is built on the first call and reused, so a one-shot `dmclab` process costs
+the same as before.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -46,17 +51,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="dmclab", description=__doc__)
+    """The parser, built once: it reads only module constants, and neither parsing
+    nor printing usage, errors or help (at the terminal's width then) changes it."""
+    # the help leaves out the note on in-process calls
+    parser = _Parser(prog="dmclab", description=__doc__.partition("\n\n`main")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_gen = sub.add_parser("gen", help="generate a trace file")
+    p_gen.set_defaults(run=cmd_gen)
     p_gen.add_argument("--alg", required=True, choices=tracegen.ALGORITHMS)
     for name in dict.fromkeys(n for k in tracegen.KERNELS.values() for n in k.param_names):
         p_gen.add_argument(f"--{name}", type=int)
     p_gen.add_argument("--out", required=True, help="output .dmt path")
 
     p_an = sub.add_parser("analyze", help="measure the DMD of a trace")
+    p_an.set_defaults(run=cmd_analyze)
     p_an.add_argument("trace", help="input .dmt path")
     p_an.add_argument("--oracle", action="store_true", help="use the naive engine")
     p_an.add_argument("--bits", type=int, default=1, help="data granularity s in bits")
@@ -65,12 +76,14 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--report", help="write the JSON report here instead of stdout")
 
     p_mod = sub.add_parser("model", help="evaluate a closed-form cost model")
+    p_mod.set_defaults(run=cmd_model)
     p_mod.add_argument("name", nargs="?", help="model name (see --list)")
     p_mod.add_argument("--list", action="store_true", help="list available models")
     for name in dict.fromkeys(name for flags, _, _ in MODELS.values() for name in flags):
         p_mod.add_argument(f"--{name}", type=int)
 
     p_sw = sub.add_parser("sweep", help="evaluate models and/or measurements over ranges")
+    p_sw.set_defaults(run=cmd_sweep)
     p_sw.add_argument("--alg", required=True,
                       choices=tracegen.ALGORITHMS + ("gqa",))
     p_sw.add_argument("--n", help="range: 'a,b,c' or 'a..b' (doubling) or 'a..b:step'")
@@ -91,6 +104,7 @@ def _build_parser() -> _Parser:
     p_sw.add_argument("--out", required=True, help="output CSV path")
 
     p_ad = sub.add_parser("advise", help="recommend algorithmic parameters")
+    p_ad.set_defaults(run=cmd_advise)
     p_ad.add_argument("kind", choices=("batch", "channels", "gqa-dim", "conv-vs-fft", "orientation"))
     p_ad.add_argument("--n", type=int)
     p_ad.add_argument("--k", type=int)
@@ -383,20 +397,12 @@ def cmd_advise(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    handlers = {
-        "gen": cmd_gen,
-        "analyze": cmd_analyze,
-        "model": cmd_model,
-        "sweep": cmd_sweep,
-        "advise": cmd_advise,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except TraceFormatError as exc:
         print(f"dmclab: trace error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dmclab import models
+from dmclab import cli, models
 from dmclab.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -100,6 +100,39 @@ def test_model_exit_codes(capsys):
 def test_usage_errors_exit_one(capsys):
     assert run(capsys, "gen", "--alg", "bogus", "--out", "x")[0] == 1
     assert run(capsys, "frobnicate")[0] == 1
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    calls = [
+        [],
+        ["frobnicate"],
+        ["model", "matmul", "--m", "two"],
+        ["model", "matmul", "--m", "2"],
+        ["model", "--help"],
+        ["model", "conv", "--n", "64", "--k", "3"],
+        ["advise", "batch", "--n", "64", "--k", "3", "--c", "4"],
+        ["sweep", "--alg", "conv", "--n", "8..32", "--k", "3", "--model",
+         "--out", str(tmp_path / "s.csv")],
+    ]
+    cli._build_parser.cache_clear()
+    first = [run(capsys, *argv) for argv in calls]
+    again = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in first] == [1, 1, 1, 2, 0, 0, 0, 0]
+    assert again == first
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_help_follows_the_terminal_width(capsys, monkeypatch):
+    cli._build_parser()
+    texts = []
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = run(capsys, "sweep", "--help")
+        fresh = cli._build_parser.__wrapped__()
+        sweep = fresh._subparsers._group_actions[0].choices["sweep"]
+        assert (code, out) == (0, sweep.format_help())
+        texts.append(out)
+    assert texts[0] != texts[1]
 
 
 def test_validation_errors_exit_two(tmp_path, capsys):
