@@ -53,8 +53,8 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """The parser, built once: it reads only module constants, and neither parsing
-    nor printing usage, errors or help (at the terminal's width then) changes it."""
+    """The parser, built once per process: the build reads only module constants,
+    and parsing or printing usage, errors and help (at the width then) leaves it as is."""
     # the help leaves out the note on in-process calls
     parser = _Parser(prog="dmclab", description=__doc__.partition("\n\n`main")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
