@@ -27,14 +27,7 @@ from dmclab.core import (
     scale_granularity,
     write_dmt,
 )
-from dmclab.engine import (
-    accumulate_dmd,
-    analyze_trace,
-    apply_block_transform,
-    cold_cost,
-    stack_distances_fast,
-    stack_distances_oracle,
-)
+from dmclab.engine import analyze_trace, cold_cost, stack_distances_oracle
 
 __all__ = [
     "AnalysisConfig",
@@ -42,14 +35,11 @@ __all__ = [
     "DmdReport",
     "LayoutTable",
     "Trace",
-    "accumulate_dmd",
     "analyze_trace",
-    "apply_block_transform",
     "build_layout",
     "cold_cost",
     "read_dmt",
     "scale_granularity",
-    "stack_distances_fast",
     "stack_distances_oracle",
     "write_dmt",
 ]

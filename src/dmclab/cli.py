@@ -8,8 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 validation or data error.
 Every command is deterministic given its flags.
 
 `main(argv)` may be called any number of times in one process. The parser
-is built on the first call and reused, so a one-shot `dmclab` process costs
-the same as before.
+is built on the first call and reused by every later one.
 """
 
 from __future__ import annotations

@@ -318,7 +318,8 @@ class AnalysisConfig:
     """Knobs of one analysis run.
 
     granularity_bits: element width s; the final DMD is scaled by sqrt(s).
-    block_size: cache block size b; b > 1 triggers the block transform.
+    block_size: cache block size b; distances are counted in blocks of b
+        elements under build_layout (b = 1: in elements).
     cold_policy: how first-touch (cold) accesses are costed.
     """
 

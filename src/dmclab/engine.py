@@ -5,7 +5,9 @@ since the previous access to the same datum, counting that datum itself,
 so an immediate re-access has distance 1.  First touches are cold and
 have no finite distance.
 
-Two engines compute the same distances: a naive O(N*M) stack scan that
+An analysis maps every access to one int64 key, its block under the
+trace's own layout, and measures distances over that key column.  Two
+engines compute the same distances: a naive O(N*M) stack scan that
 serves as the oracle, and a vectorised numpy engine that counts them
 offline (Bennett and Kruskal 1975; Olken 1981).  With prev[i] the
 position of the previous access to the same datum, -1 for a cold one,
@@ -19,18 +21,17 @@ that.  The count takes log2 N - 6 passes, each a stable partition by one
 bit of prev's rank: over all reuses for the high bits, then one segment
 of 2^16 ranks at a time while it is in cache; a bitset popcount counts
 the low six bits.  The engines' outputs are equal element-wise for every
-trace.  numpy is imported only inside the functions that analyse a
-trace, so the CLI's model and advice commands never load it.
+trace, and one fold turns either into a report.  numpy is imported only
+inside the functions that analyse a trace, so the CLI's model and advice
+commands never load it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from array import array
-from collections import Counter
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Optional, Sequence
 
 from dmclab.core import (
     AnalysisConfig,
@@ -39,7 +40,6 @@ from dmclab.core import (
     ObjectTable,
     Trace,
     ValidationError,
-    _row_finder,
     build_layout,
     scale_granularity,
 )
@@ -62,16 +62,16 @@ _SEGMENT_BITS = 16
 _FINISH_BITS = 6
 
 
-def stack_distances_oracle(trace: Trace) -> DistanceSequence:
+def _lru_distances(keys: Iterable[Hashable]) -> DistanceSequence:
     """Naive reference engine: simulate the LRU stack directly.
 
-    The stack holds one entry per distinct datum, most recent first; the
-    distance is the 1-based position of the datum before it moves to the
+    The stack holds one entry per distinct key, most recent first; the
+    distance is the 1-based position of the key before it moves to the
     front.  O(N*M) but trivially correct.
     """
-    stack: list[tuple[int, int]] = []
+    stack: list[Hashable] = []
     out: DistanceSequence = []
-    for key in trace.accesses:
+    for key in keys:
         try:
             idx = stack.index(key)
         except ValueError:
@@ -83,28 +83,22 @@ def stack_distances_oracle(trace: Trace) -> DistanceSequence:
     return out
 
 
-def _block_ids(trace: Trace, layout: LayoutTable) -> np.ndarray:
-    """(base + offset) // block_size of every access under `layout`: one
-    int64 key per access, equal exactly when two accesses share a block."""
+def stack_distances_oracle(trace: Trace) -> DistanceSequence:
+    """The oracle's distances of the trace's ``(object_id, offset)`` pairs."""
+    return _lru_distances(trace.accesses)
+
+
+def _block_ids(trace: Trace, block_size: int) -> np.ndarray:
+    """(base + offset) // block_size of every access under
+    build_layout(trace.objects, block_size): one int64 key per access,
+    equal exactly when two accesses share a block.  build_layout raises
+    if the layout spans 2**63 elements or more, so every key fits."""
     import numpy as np
 
-    table = trace.objects
-    starts = np.frombuffer(layout.starts, dtype=np.int64)
-    if layout.ids != table.ids:
-        # the layout's row of each object, by the rule of Trace._rows
-        ids = np.frombuffer(layout.ids, dtype=np.int64)
-        wanted = np.frombuffer(table.ids, dtype=np.int64)
-        row = _row_finder(ids)(wanted)
-        missing = ids.take(row, mode="clip") != wanted if len(ids) else np.full(len(wanted), True)
-        if missing.any():
-            raise ValidationError(f"layout does not cover object ids {wanted[missing].tolist()}")
-        starts = starts[row]
-    if (table.size_column() > (2**63 - 1) - starts).any():
-        end = max(map(operator.add, starts.tolist(), table.sizes))
-        raise ValidationError(f"layout spans {end} elements, beyond 64-bit addresses")
-    keys = starts[trace._rows()]
+    layout = build_layout(trace.objects, block_size)
+    keys = np.frombuffer(layout.starts, dtype=np.int64)[trace._rows()]
     keys += np.frombuffer(trace.offsets, dtype=np.int64)
-    keys //= layout.block_size
+    keys //= block_size
     return keys
 
 
@@ -257,7 +251,7 @@ def stack_distances_fast(trace: Trace) -> DistanceSequence:
     """Numpy engine: identical output to the oracle, O(N log N)."""
     import numpy as np
 
-    reuse, distances = _reuse_distances(_block_ids(trace, build_layout(trace.objects, 1)))
+    reuse, distances = _reuse_distances(_block_ids(trace, 1))
     full = np.zeros(len(trace), dtype=np.int64)
     full[reuse] = distances
     out: DistanceSequence = full.tolist()
@@ -266,35 +260,31 @@ def stack_distances_fast(trace: Trace) -> DistanceSequence:
     return out
 
 
-def _histogram(trace: Trace, block_size: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(the stack distances that occur, in increasing order, their counts,
-    the number of cold accesses), in blocks of `block_size` under
-    build_layout, by the numpy engine."""
+def _finite(distances: Sequence[Optional[int]]) -> np.ndarray:
+    """The finite distances of a sequence, in order, as int64."""
     import numpy as np
 
-    keys = _block_ids(trace, build_layout(trace.objects, block_size))
-    _, distances = _reuse_distances(keys)
-    counts = np.bincount(distances)
-    bins = np.flatnonzero(counts)
-    return bins, counts[bins], len(keys) - len(distances)
+    return np.array([d for d in distances if d is not None], dtype=np.int64)
 
 
 def _report(
-    bins: np.ndarray,
-    counts: np.ndarray,
-    n_cold: int,
+    distances: np.ndarray,
     n_accesses: int,
     config: AnalysisConfig,
     touched_sizes: Iterable[int],
 ) -> DmdReport:
-    """The report of a histogram given as distances `bins` (int64) and
-    their `counts`."""
+    """The report of `n_accesses` accesses whose reuses have the int64
+    stack `distances`; the other accesses are cold."""
     import numpy as np
 
+    counts = np.bincount(distances)
+    bins = np.flatnonzero(counts)
+    counts = counts[bins]
     # bit for bit the sum of c * math.sqrt(d): a distance or count below
     # 2**53 converts to float64 exactly, and sqrt and product are
     # correctly rounded
     reuse_dmd = math.fsum((counts * np.sqrt(bins)).tolist())
+    n_cold = n_accesses - len(distances)
     policy = config.cold_policy
     if policy == "exclude":
         cold_dmd = 0.0
@@ -328,17 +318,12 @@ def accumulate_dmd(
     Summation runs through math.fsum over the histogram, so it is exact
     regardless of trace length.
     """
-    import numpy as np
-
-    histogram = Counter(d for d in distances if d is not None)
-    n_cold = len(distances) - histogram.total()
-    bins = np.array(list(histogram), dtype=np.int64)
-    counts = np.array(list(histogram.values()), dtype=np.int64)
-    return _report(bins, counts, n_cold, len(distances), config, touched_sizes)
+    return _report(_finite(distances), len(distances), config, touched_sizes)
 
 
 def apply_block_transform(trace: Trace, layout: LayoutTable) -> Trace:
-    """Remap element accesses to cache-block accesses under `layout`.
+    """Remap element accesses to cache-block accesses under `layout`,
+    which must be build_layout(trace.objects, layout.block_size).
 
     Each access becomes an access to a synthetic block object with
     id = (base + offset) // block_size.  The output has the same length
@@ -346,7 +331,9 @@ def apply_block_transform(trace: Trace, layout: LayoutTable) -> Trace:
     """
     import numpy as np
 
-    bids = _block_ids(trace, layout)
+    if layout != build_layout(trace.objects, layout.block_size):
+        raise ValidationError("layout is not the trace's own build_layout")
+    bids = _block_ids(trace, layout.block_size)
     # np.unique would load numpy.ma on its first call
     ordered = np.sort(bids)
     first = np.ones(len(ordered), dtype=bool)
@@ -363,7 +350,11 @@ def analyze_trace(
     config: AnalysisConfig = AnalysisConfig(),
     engine: str = "fast",
 ) -> DmdReport:
-    """One-stop analysis: block transform, distances, accumulation, scaling."""
+    """Measure a trace: block keys under its own layout, their reuse
+    distances by `engine` ('fast' or 'oracle'), the fold into a report,
+    then scaling to the element width."""
+    if engine not in ("fast", "oracle"):
+        raise ValidationError(f"unknown engine {engine!r}; expected 'fast' or 'oracle'")
     b = config.block_size
     touched_sizes = ()
     if config.cold_policy == "per_object":
@@ -371,16 +362,12 @@ def analyze_trace(
         # size s occupies exactly ceil(s / b) blocks
         sizes = compress(trace.objects.sizes, trace._touched())
         touched_sizes = [-(-size // b) for size in sizes]
+    keys = _block_ids(trace, b)
     if engine == "fast":
-        bins, counts, n_cold = _histogram(trace, b)
-        report = _report(bins, counts, n_cold, len(trace), config, touched_sizes)
-    elif engine == "oracle":
-        measured = trace
-        if b > 1:
-            measured = apply_block_transform(trace, build_layout(trace.objects, b))
-        report = accumulate_dmd(stack_distances_oracle(measured), config, touched_sizes)
+        distances = _reuse_distances(keys)[1]
     else:
-        raise ValidationError(f"unknown engine {engine!r}; expected 'fast' or 'oracle'")
+        distances = _finite(_lru_distances(keys.tolist()))
+    report = _report(distances, len(trace), config, touched_sizes)
     report.check()
     if config.granularity_bits > 1:
         report = scale_granularity(report, config.granularity_bits)

@@ -5,7 +5,7 @@ access sequence of the algorithm's straightforward implementation.
 Register-resident scalars (running sums, loop temporaries) are not
 traced; result writes are.  Object declaration order is inputs first,
 temporaries in creation order, outputs last, which fixes the memory
-layout used by the block transform.
+layout (build_layout) under which `analyze --block` measures blocks.
 
 A parameter record's rule is its model's: constructing a record
 evaluates the model, which raises ValidationError on an invalid set.

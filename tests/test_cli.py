@@ -22,6 +22,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def csv_rows(path):
+    with path.open(newline="") as f:
+        return list(csv.DictReader(f))
+
+
 def test_gen_then_analyze_round_trip(tmp_path, capsys):
     trace_path = tmp_path / "c.dmt"
     code, out, _ = run(capsys, "gen", "--alg", "conv", "--n", "8", "--k", "2",
@@ -224,7 +229,7 @@ def test_sweep_model_mode(tmp_path, capsys):
     code, _, _ = run(capsys, "sweep", "--alg", "conv", "--n", "8..32", "--k", "3",
                      "--out", str(out_path))
     assert code == 0
-    rows = list(csv.DictReader(out_path.open()))
+    rows = csv_rows(out_path)
     assert [r["n"] for r in rows] == ["8", "16", "32"]
     assert "model_total" in rows[0] and "measured" not in rows[0]
 
@@ -234,7 +239,7 @@ def test_sweep_both_mode_has_ratio(tmp_path, capsys):
     code, _, _ = run(capsys, "sweep", "--alg", "matmul", "--n", "4,8", "--both",
                      "--out", str(out_path))
     assert code == 0
-    rows = list(csv.DictReader(out_path.open()))
+    rows = csv_rows(out_path)
     for row in rows:
         ratio = float(row["measured"]) / float(row["model_total"])
         assert float(row["ratio"]) == pytest.approx(ratio)
@@ -249,7 +254,7 @@ def test_sweep_both_zero_model_ratio_is_nan(tmp_path, capsys, flags):
     out_path = tmp_path / "s.csv"
     code, _, _ = run(capsys, "sweep", *flags, "--both", "--out", str(out_path))
     assert code == 0
-    (row,) = csv.DictReader(out_path.open())
+    (row,) = csv_rows(out_path)
     assert float(row["model_total"]) == 0.0
     assert float(row["measured"]) >= 0.0
     assert row["ratio"] == "nan"
@@ -298,7 +303,7 @@ def test_sweep_measure_mode(tmp_path, capsys):
     code, _, _ = run(capsys, "sweep", "--alg", "fft", "--n", "16,32", "--measure",
                      "--out", str(out_path))
     assert code == 0
-    assert len(list(csv.DictReader(out_path.open()))) == 2
+    assert len(csv_rows(out_path)) == 2
 
 
 def test_sweep_gqa(tmp_path, capsys):
@@ -306,7 +311,7 @@ def test_sweep_gqa(tmp_path, capsys):
     code, _, _ = run(capsys, "sweep", "--alg", "gqa", "--heads", "8", "--budget",
                      "1e5", "--out", str(out_path))
     assert code == 0
-    rows = list(csv.DictReader(out_path.open()))
+    rows = csv_rows(out_path)
     assert [int(r["q"]) for r in rows] == [1, 2, 4, 8]
     dims = [float(r["d"]) for r in rows]
     assert dims == sorted(dims)
@@ -315,7 +320,7 @@ def test_sweep_gqa(tmp_path, capsys):
     code, _, _ = run(capsys, "sweep", "--alg", "gqa", "--heads", "8", "--q", "0,2,3",
                      "--budget", "1e5", "--out", str(out_path))
     assert code == 0
-    assert [int(r["q"]) for r in csv.DictReader(out_path.open())] == [2]
+    assert [int(r["q"]) for r in csv_rows(out_path)] == [2]
 
 
 def test_advise_batch(capsys):
