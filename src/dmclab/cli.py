@@ -24,13 +24,11 @@ from dataclasses import asdict, fields, is_dataclass
 
 from dmclab import advisor, models, tracegen
 from dmclab.core import (
-    ACCESS_BYTES,
     COLD_POLICIES,
     AnalysisConfig,
     DmcError,
     TraceFormatError,
     ValidationError,
-    physical_memory,
     read_dmt,
     write_dmt,
 )
@@ -137,15 +135,7 @@ def _gen_spec(args) -> tracegen.GenSpec:
 
 
 def cmd_gen(args) -> int:
-    spec = _gen_spec(args)
-    count = tracegen.access_count(spec)
-    memory = physical_memory()
-    if count * ACCESS_BYTES > memory:
-        raise ValidationError(
-            f"the trace has {count} accesses, {count * ACCESS_BYTES} bytes in memory, "
-            f"more than this machine's {memory} bytes"
-        )
-    trace = tracegen.generate(spec)
+    trace = tracegen.generate(_gen_spec(args))
     write_dmt(trace, args.out)
     print(f"wrote {args.out}: {len(trace.objects)} objects, {len(trace)} accesses")
     return EXIT_OK

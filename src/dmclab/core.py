@@ -7,7 +7,9 @@ scaling of a finished report (`scale_granularity`), never baked into the
 trace itself.
 
 All types are immutable after construction and safe to share across
-concurrent analyses.
+concurrent analyses.  Every integer column (object ids and sizes, access
+ids and offsets, layout starts) is a read-only int64 numpy array, so an
+id, a size or an offset is a 64-bit value.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ class DataObject:
             raise ValidationError(f"object {self.name!r}: id {self.id} does not fit in 64 bits")
         if self.size < 1:
             raise ValidationError(f"object {self.name!r}: size must be >= 1, got {self.size}")
+        if self.size >= 2**63:
+            raise ValidationError(f"object {self.name!r}: size {self.size} does not fit in 64 bits")
         # exactly the names a .dmt header carries back unchanged
         if not (self.name.isascii() and self.name.isprintable()
                 and self.name == self.name.strip() and self.name):
@@ -69,7 +73,7 @@ class DataObject:
 
 
 # bytes a trace holds per access: one int64 in each of its two columns
-ACCESS_BYTES = 2 * array("q").itemsize
+ACCESS_BYTES = 2 * 8
 # accesses `Trace._validate` takes per numpy pass
 VALIDATE_ACCESSES = 1 << 16
 # printable ASCII but the space: the bytes of a name that is valid whatever
@@ -82,25 +86,28 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _int_column(values: Sequence[int]) -> array | list:
-    """`values` as an ``array('q')``, or as a list if one exceeds 64 bits."""
-    if isinstance(values, array) and values.typecode == "q":
-        return values
-    try:
-        return array("q", values)
-    except OverflowError:
-        return list(values)
+def _column(values) -> np.ndarray:
+    """`values` as a read-only int64 array.  An int64 numpy array is taken
+    over, not copied; any other sequence is read as ``array('q')`` reads
+    it, so a value that is not an integer raises TypeError and one beyond
+    64 bits OverflowError."""
+    import numpy as np
+
+    if not (isinstance(values, np.ndarray) and values.dtype == np.int64):
+        values = np.frombuffer(array("q", values), dtype=np.int64)
+    column = values.view()
+    column.flags.writeable = False
+    return column
 
 
 class ObjectTable(Sequence):
-    """The objects of a trace as columns: `ids` and `sizes` as
-    ``array('q')`` (`sizes` as a list if one exceeds 64 bits) and `names`
-    as a list, in declaration order.
+    """The objects of a trace as columns: `ids` and `sizes` as read-only
+    int64 arrays (`_column`) and `names` as a list, in declaration order.
 
     It reads as a sequence of DataObjects, each built on access.  It is
     validated as a whole: a table that breaks DataObject's rules or
     repeats an id raises what building its DataObjects in order, then a
-    Trace of them, raises.  Array columns are taken over, not copied.
+    Trace of them, raises.
     """
 
     __slots__ = ("ids", "names", "sizes")
@@ -110,17 +117,20 @@ class ObjectTable(Sequence):
 
         if not len(ids) == len(names) == len(sizes):
             raise ValidationError("object ids, names and sizes differ in length")
-        self.ids, self.names, self.sizes = _int_column(ids), list(names), _int_column(sizes)
-        text = "\n".join(self.names)
-        # a quick check that passes 64-bit values and names of printable
-        # ASCII without spaces: once those bytes go, only the separators stay
-        if (isinstance(self.ids, array) and isinstance(self.sizes, array)
-                and np.frombuffer(self.sizes, dtype=np.int64).min(initial=1) >= 1
-                and all(self.names) and text.isascii()
-                and text.encode("ascii").translate(None, _NAME_BYTES) == b"\n" * (len(self) - 1)):
-            ordered = np.sort(np.frombuffer(self.ids, dtype=np.int64))
-            if (ordered[1:] != ordered[:-1]).all():
-                return
+        self.names = list(names)
+        try:
+            self.ids, self.sizes = _column(ids), _column(sizes)
+        except OverflowError:
+            pass  # the DataObject that holds the value raises below
+        else:
+            text = "\n".join(self.names)
+            # a quick check that passes sizes >= 1 and names of printable
+            # ASCII without spaces: once those bytes go, only the separators stay
+            if (self.sizes.min(initial=1) >= 1 and all(self.names) and text.isascii()
+                    and text.encode("ascii").translate(None, _NAME_BYTES) == b"\n" * (len(self) - 1)):
+                ordered = np.sort(self.ids)
+                if (ordered[1:] != ordered[:-1]).all():
+                    return
         # the first invalid object raises its own error, then the first repeat
         seen = set()
         for obj in list(map(DataObject, ids, self.names, sizes)):
@@ -136,26 +146,20 @@ class ObjectTable(Sequence):
         return cls([o.id for o in objects], [o.name for o in objects],
                    [o.size for o in objects])
 
-    def size_column(self) -> np.ndarray:
-        """The sizes as int64, or as Python ints if one exceeds 64 bits."""
-        import numpy as np
-
-        if isinstance(self.sizes, array):
-            return np.frombuffer(self.sizes, dtype=np.int64)
-        return np.array(self.sizes, dtype=object)
-
     def __len__(self) -> int:
         return len(self.names)
 
     def __getitem__(self, i: int) -> DataObject:
-        return DataObject(self.ids[i], self.names[i], self.sizes[i])
+        return DataObject(self.ids.item(i), self.names[i], self.sizes.item(i))
 
     def __iter__(self):
-        return map(DataObject, self.ids, self.names, self.sizes)
+        return map(DataObject, self.ids.tolist(), self.names, self.sizes.tolist())
 
     def __eq__(self, other) -> bool:
+        import numpy as np
+
         if isinstance(other, ObjectTable):
-            return (self.ids == other.ids and self.sizes == other.sizes
+            return (np.array_equal(self.ids, other.ids) and np.array_equal(self.sizes, other.sizes)
                     and self.names == other.names)
         if isinstance(other, (list, tuple)):
             return list(self) == list(other)
@@ -180,8 +184,8 @@ def _row_finder(ids: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 class Trace:
     """An object table plus an ordered, immutable sequence of accesses.
 
-    Accesses are stored as two read-only int64 columns, `oids` and
-    `offsets`: the two fields of a .dmt access line.
+    Accesses are stored as two read-only int64 arrays (`_column`), `oids`
+    and `offsets`: the two fields of a .dmt access line.
     """
 
     __slots__ = ("objects", "oids", "offsets")
@@ -193,12 +197,7 @@ class Trace:
         validate: bool = True,
     ):
         pairs = accesses if isinstance(accesses, (list, tuple)) else list(accesses)
-        try:
-            oids = array("q", [oid for oid, _ in pairs])
-            offsets = array("q", [off for _, off in pairs])
-        except OverflowError:
-            raise ValidationError("object ids and offsets must fit in 64 bits") from None
-        self._init(objects, oids, offsets, validate)
+        self._init(objects, [oid for oid, _ in pairs], [off for _, off in pairs], validate)
 
     @classmethod
     def from_columns(
@@ -208,19 +207,20 @@ class Trace:
         offsets,
         validate: bool = True,
     ) -> Trace:
-        """A trace over two equal-length int64 access columns, each an
-        ``array('q')`` or a memoryview of format ``'q'`` (of a numpy
-        buffer: ``memoryview(a).cast('B').cast('q')``).  It takes them
-        over, and `objects` too if it is an ObjectTable: the caller must
-        not modify them afterwards."""
+        """A trace over two equal-length access columns, each an int64
+        numpy array, which the trace takes over, or a sequence of ints,
+        which it copies.  It takes `objects` over too if it is an
+        ObjectTable: the caller must not modify them afterwards."""
         trace = cls.__new__(cls)
         trace._init(objects, oids, offsets, validate)
         return trace
 
     def _init(self, objects, oids, offsets, validate: bool) -> None:
+        try:
+            self.oids, self.offsets = _column(oids), _column(offsets)
+        except OverflowError:
+            raise ValidationError("object ids and offsets must fit in 64 bits") from None
         self.objects = ObjectTable.of(objects)
-        self.oids = memoryview(oids).toreadonly()
-        self.offsets = memoryview(offsets).toreadonly()
         if validate:
             self._validate()
 
@@ -229,21 +229,14 @@ class Trace:
         offset outside its object."""
         import numpy as np
 
-        table = self.objects
-        ids = np.frombuffer(table.ids, dtype=np.int64)
-        # an offset is int64, so a size beyond 2**63 bounds nothing more
-        last = table.size_column() - 1
-        if last.dtype == object:
-            last = np.minimum(last, 2**63 - 1).astype(np.int64)
-        oids = np.frombuffer(self.oids, dtype=np.int64)
-        offsets = np.frombuffer(self.offsets, dtype=np.int64)
-        if len(oids) and not len(ids):
+        ids, last = self.objects.ids, self.objects.sizes - 1
+        if len(self) and not len(ids):
             self._reject(0)
         row_of = _row_finder(ids)
         # a slice at a time, so that the temporaries stay small
-        for start in range(0, len(oids), VALIDATE_ACCESSES):
-            oid = oids[start:start + VALIDATE_ACCESSES]
-            off = offsets[start:start + VALIDATE_ACCESSES]
+        for start in range(0, len(self), VALIDATE_ACCESSES):
+            oid = self.oids[start:start + VALIDATE_ACCESSES]
+            off = self.offsets[start:start + VALIDATE_ACCESSES]
             slot = row_of(oid)
             bad = ((off < 0) | (ids.take(slot, mode="clip") != oid)
                    | (off > last.take(slot, mode="clip")))
@@ -252,11 +245,11 @@ class Trace:
 
     def _reject(self, i: int):
         """Raise for access `i`, which is invalid."""
-        oid, off = self.oids[i], self.offsets[i]
-        table = self.objects
-        if oid not in table.ids:
+        oid, off = self.oids.item(i), self.offsets.item(i)
+        ids = self.objects.ids.tolist()
+        if oid not in ids:
             raise ValidationError(f"access {i}: unknown object id {oid}")
-        size = table.sizes[table.ids.index(oid)]
+        size = self.objects.sizes.item(ids.index(oid))
         raise ValidationError(
             f"access {i}: offset {off} out of range for object {oid} (size {size})"
         )
@@ -264,14 +257,11 @@ class Trace:
     @property
     def accesses(self) -> tuple[tuple[int, int], ...]:
         """The accesses as ``(object_id, offset)`` pairs, built on each call."""
-        return tuple(zip(self.oids, self.offsets))
+        return tuple(zip(self.oids.tolist(), self.offsets.tolist()))
 
     def _rows(self) -> np.ndarray:
         """The row of the object table that holds each access's object."""
-        import numpy as np
-
-        ids = np.frombuffer(self.objects.ids, dtype=np.int64)
-        return _row_finder(ids)(np.frombuffer(self.oids, dtype=np.int64))
+        return _row_finder(self.objects.ids)(self.oids)
 
     def _touched(self) -> list[bool]:
         """Whether each object of the table appears in an access."""
@@ -289,28 +279,47 @@ class Trace:
         return len(self.oids)
 
     def __eq__(self, other) -> bool:
+        import numpy as np
+
         if not isinstance(other, Trace):
             return NotImplemented
-        return (self.objects == other.objects and self.oids == other.oids
-                and self.offsets == other.offsets)
+        return (self.objects == other.objects and np.array_equal(self.oids, other.oids)
+                and np.array_equal(self.offsets, other.offsets))
 
     def __repr__(self) -> str:
         return f"Trace({len(self.objects)} objects, {len(self)} accesses)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayoutTable:
     """Base addresses of objects, in element units: `starts[i]` is the
-    base of the object whose id is `ids[i]`.
+    base of the object whose id is `ids[i]`; both are read-only int64
+    arrays.
 
     Block ids are ``address // block_size``.  Address ranges of distinct
     objects never overlap and every base is a multiple of `block_size`,
     so two objects never share a cache block.
     """
 
-    ids: array
-    starts: array
+    ids: np.ndarray
+    starts: np.ndarray
     block_size: int
+
+    def __eq__(self, other) -> bool:
+        import numpy as np
+
+        if not isinstance(other, LayoutTable):
+            return NotImplemented
+        return (self.block_size == other.block_size and np.array_equal(self.ids, other.ids)
+                and np.array_equal(self.starts, other.starts))
+
+
+def _check_block_size(block_size: int) -> None:
+    """Raise unless `block_size` is an element count of 1 ... 2**63 - 1."""
+    if block_size < 1:
+        raise ValidationError("block_size must be >= 1")
+    if block_size >= 2**63:
+        raise ValidationError(f"block_size {block_size} does not fit in 64 bits")
 
 
 @dataclass(frozen=True)
@@ -330,8 +339,7 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.granularity_bits < 1:
             raise ValidationError("granularity_bits must be >= 1")
-        if self.block_size < 1:
-            raise ValidationError("block_size must be >= 1")
+        _check_block_size(self.block_size)
         if self.cold_policy not in COLD_POLICIES:
             raise ValidationError(
                 f"unknown cold policy {self.cold_policy!r}; expected one of {COLD_POLICIES}"
@@ -382,21 +390,22 @@ def build_layout(objects: Sequence[DataObject], block_size: int) -> LayoutTable:
     """
     import numpy as np
 
-    if block_size < 1:
-        raise ValidationError("block_size must be >= 1")
+    _check_block_size(block_size)
     table = ObjectTable.of(objects)
-    sizes = table.size_column()
-    # every sum below fits in int64 unless the sizes or the block are huge
-    if (len(sizes) + 1) * (int(sizes.max(initial=0)) + block_size) >= 2**63:
-        sizes = sizes.astype(object)
+    sizes = table.sizes
     # a base is a multiple of the block, so the next one is that base plus
-    # the object's size rounded up to whole blocks
+    # the object's size rounded up to whole blocks.  int64 arithmetic wraps
+    # around, so the bases are exact whenever the layout ends below 2**63.
     aligned = -(-sizes // block_size) * block_size
     starts = np.cumsum(aligned) - aligned
-    end = starts[-1] + sizes[-1] if len(sizes) else 0
+    if (len(sizes) + 1) * (int(sizes.max(initial=0)) + block_size) < 2**63:
+        end = int(starts[-1] + sizes[-1]) if len(sizes) else 0
+    else:  # int64 may have wrapped: sum in Python ints
+        end = sum(-(-size // block_size) * block_size for size in sizes[:-1].tolist())
+        end += int(sizes[-1])
     if end >= 2**63:
         raise ValidationError(f"layout spans {end} elements, beyond 64-bit addresses")
-    return LayoutTable(table.ids, array("q", starts.astype(np.int64).tobytes()), block_size)
+    return LayoutTable(table.ids, _column(starts), block_size)
 
 
 def scale_granularity(report: DmdReport, bits: int) -> DmdReport:
@@ -442,16 +451,15 @@ def write_dmt(trace: Trace, path) -> None:
     DMT_WRITE_ACCESSES accesses at a time."""
     import numpy as np
 
-    oids = np.frombuffer(trace.oids, dtype=np.int64)
-    offsets = np.frombuffer(trace.offsets, dtype=np.int64)
     with open(path, "wb") as fh:
         table = trace.objects
         fh.write("".join(f"%object {oid} {size} {name}\n" for oid, size, name
-                         in zip(table.ids, table.sizes, table.names)).encode("ascii"))
+                         in zip(table.ids.tolist(), table.sizes.tolist(), table.names)
+                         ).encode("ascii"))
         step = DMT_WRITE_ACCESSES
-        for start in range(0, len(oids), step):
-            oid_rows, oid_keep = _decimal(oids[start:start + step])
-            off_rows, off_keep = _decimal(offsets[start:start + step])
+        for start in range(0, len(trace), step):
+            oid_rows, oid_keep = _decimal(trace.oids[start:start + step])
+            off_rows, off_keep = _decimal(trace.offsets[start:start + step])
             rows = [*oid_rows, ord(" "), *off_rows, ord("\n")]
             keep = [*oid_keep, True, *off_keep, True]
             # one line per matrix row, each byte position a column
@@ -532,7 +540,6 @@ def read_dmt(path) -> Trace:
                 lines = range(lineno + 1, lineno + 1 + len(values) // 2)
             else:
                 values, lines = _parse_lines(raw[split:], lineno, table)
-                values = np.frombuffer(values, dtype=np.int64)
             end = count + len(lines)
             if end > limit:
                 raise TraceFormatError(
@@ -551,9 +558,7 @@ def read_dmt(path) -> Trace:
     oids.resize(count, refcheck=False)
     offsets.resize(count, refcheck=False)
     try:
-        return Trace.from_columns(ObjectTable(*table),
-                                  *(memoryview(column).cast("B").cast("q")
-                                    for column in (oids, offsets)))
+        return Trace.from_columns(ObjectTable(*table), oids, offsets)
     except ValidationError as exc:
         raise TraceFormatError(str(exc))
 
@@ -586,12 +591,12 @@ def _read_headers(text: str, table: tuple[list, list, list]) -> bool:
 
 
 def _parse_lines(text: str, lineno: int,
-                 table: tuple[list, list, list]) -> tuple[array, list[int]]:
+                 table: tuple[list, list, list]) -> tuple[list[int], list[int]]:
     """The accesses of `text`, whole lines from line `lineno` + 1 on, each
     parsed by `_parse_line`, and the line of each; the objects its
     headers declare are appended to `table`'s id, name and size columns."""
     objects: list[DataObject] = []
-    values, lines = array("q"), []
+    values, lines = [], []
     for i, line in enumerate(text.split("\n"), start=lineno + 1):
         access = _parse_line(line, i, objects)
         if access is not None:

@@ -29,7 +29,6 @@ commands never load it.
 from __future__ import annotations
 
 import math
-from array import array
 from itertools import compress
 from typing import TYPE_CHECKING, Hashable, Iterable, Optional, Sequence
 
@@ -93,11 +92,8 @@ def _block_ids(trace: Trace, block_size: int) -> np.ndarray:
     build_layout(trace.objects, block_size): one int64 key per access,
     equal exactly when two accesses share a block.  build_layout raises
     if the layout spans 2**63 elements or more, so every key fits."""
-    import numpy as np
-
-    layout = build_layout(trace.objects, block_size)
-    keys = np.frombuffer(layout.starts, dtype=np.int64)[trace._rows()]
-    keys += np.frombuffer(trace.offsets, dtype=np.int64)
+    keys = build_layout(trace.objects, block_size).starts[trace._rows()]
+    keys += trace.offsets
     keys //= block_size
     return keys
 
@@ -339,10 +335,9 @@ def apply_block_transform(trace: Trace, layout: LayoutTable) -> Trace:
     first = np.ones(len(ordered), dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
     ids = ordered[first]
-    blocks = ObjectTable(array("q", ids.tobytes()), [f"block{bid}" for bid in ids.tolist()],
-                         array("q", [1]) * len(ids))
-    return Trace.from_columns(blocks, array("q", bids.tobytes()),
-                              array("q", [0]) * len(bids), validate=False)
+    blocks = ObjectTable(ids, [f"block{bid}" for bid in ids.tolist()],
+                         np.ones(len(ids), dtype=np.int64))
+    return Trace.from_columns(blocks, bids, np.zeros(len(bids), dtype=np.int64), validate=False)
 
 
 def analyze_trace(
@@ -360,7 +355,7 @@ def analyze_trace(
     if config.cold_policy == "per_object":
         # build_layout aligns every object to a block, so an object of
         # size s occupies exactly ceil(s / b) blocks
-        sizes = compress(trace.objects.sizes, trace._touched())
+        sizes = compress(trace.objects.sizes.tolist(), trace._touched())
         touched_sizes = [-(-size // b) for size in sizes]
     keys = _block_ids(trace, b)
     if engine == "fast":

@@ -13,9 +13,10 @@ Every record that exists is valid, so generators trust their arguments.
 The record keeps that evaluation as its `result` attribute, outside its
 fields, so sweeps read the model columns without evaluating it again.
 
-Every generator allocates its two columns at the trace's exact length,
-from the count function its kernel registers, and places its accesses
-into them a loop nest at a time (`_place`): the trace position where
+Every generator first allocates its two columns at the trace's exact
+length, from the count function its kernel registers, which refuses a
+length beyond physical memory before any other work.  It then places
+its accesses into them a loop nest at a time (`_place`): the position where
 each iteration starts and each access's object id and offset are numpy
 expressions in the loop indices.  The recursive FFT generators know
 each call's place in the trace from its parent's, so they place one
@@ -25,12 +26,11 @@ that build a trace, so the commands that make no trace never load it.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import astuple, dataclass, fields
 from typing import Callable, Optional
 
 from dmclab import models
-from dmclab.core import ObjectTable, Trace, ValidationError
+from dmclab.core import ACCESS_BYTES, ObjectTable, Trace, ValidationError, physical_memory
 
 
 def _keep(record, result) -> None:
@@ -128,15 +128,16 @@ class Kernel:
 class _TraceBuilder:
     """Object columns and access columns of a trace under construction.
 
-    A generator `allocate`s the access columns at the trace's exact
-    length, from its kernel's count function, then `_place`s every access
-    into them, one loop nest per call.
+    A generator first `allocate`s the access columns at the trace's exact
+    length, from its kernel's count function, then declares its objects
+    and `_place`s every access into the columns, one loop nest per call.
+    `build` hands the columns to the trace, which takes them over.
     """
 
     def __init__(self):
         # object i has id i
         self.names: list[str] = []
-        self.sizes = array("q")
+        self.sizes: list[int] = []
 
     def new_object(self, name: str, size: int) -> int:
         self.names.append(name)
@@ -146,20 +147,25 @@ class _TraceBuilder:
     def allocate(self, count: int) -> tuple:
         """Make the columns `count` accesses long, uninitialised, and
         return them as numpy arrays, for the generator to place every
-        access."""
+        access.  Raises if they need more than `physical_memory()`."""
         import numpy as np
 
-        columns = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
-        self.oids, self.offsets = (memoryview(c).cast("B").cast("q") for c in columns)
-        return columns
+        memory = physical_memory()
+        if count * ACCESS_BYTES > memory:
+            raise ValidationError(
+                f"the trace has {count} accesses, {count * ACCESS_BYTES} bytes in memory, "
+                f"more than this machine's {memory} bytes"
+            )
+        self.columns = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
+        return self.columns
 
     def build(self) -> Trace:
         import numpy as np
 
-        ids = array("q", np.arange(len(self.names), dtype=np.int64).tobytes())
+        ids = np.arange(len(self.names), dtype=np.int64)
         # generators index within declared bounds by construction
         return Trace.from_columns(ObjectTable(ids, self.names, self.sizes),
-                                  self.oids, self.offsets, validate=False)
+                                  *self.columns, validate=False)
 
 
 def _place(columns: tuple, at, *body) -> None:
@@ -198,10 +204,10 @@ def gen_matmul(m: int, n: int, l: int) -> Trace:
     import numpy as np
 
     b = _TraceBuilder()
+    columns = b.allocate(_matmul_count(m, n, l))
     a_obj = b.new_object("A", m * n)
     b_obj = b.new_object("B", n * l)
     c_obj = b.new_object("C", m * l)
-    columns = b.allocate(_matmul_count(m, n, l))
     i, j, kk = np.ogrid[:m, :l, :n]
     product = (2 * n + 1) * (i * l + j)  # where C[i][j]'s product starts
     _place(columns, product + 2 * kk, (a_obj, i * n + kk), (b_obj, kk * l + j))
@@ -222,10 +228,10 @@ def gen_conv(h: int, w: int, k: int) -> Trace:
     import numpy as np
 
     b = _TraceBuilder()
+    columns = b.allocate(_conv_count(h, w, k))
     img = b.new_object("I", h * w)
     ker = b.new_object("K", k * k)
     res = b.new_object("R", (h - k + 1) * (w - k + 1))
-    columns = b.allocate(_conv_count(h, w, k))
     out_w = w - k + 1
     i, j, cell = np.ogrid[:h - k + 1, :out_w, :k * k]
     y, x = divmod(cell, k)
@@ -251,12 +257,12 @@ def gen_im2col(n: int, k: int) -> Trace:
     import numpy as np
 
     b = _TraceBuilder()
+    columns = b.allocate(_im2col_count(n, k))
     img = b.new_object("I", n * n)
     ker = b.new_object("Kv", k * k)
     out_n = n - k + 1
     patches = b.new_object("R", out_n * out_n * k * k)
     out = b.new_object("out", out_n * out_n)
-    columns = b.allocate(_im2col_count(n, k))
     kk = k * k
     i, j, cell = np.ogrid[:out_n, :out_n, :kk]
     y, x = divmod(cell, k)
@@ -283,11 +289,11 @@ def gen_batched_conv(n: int, k: int, c: int, x: int) -> Trace:
     import numpy as np
 
     b = _TraceBuilder()
+    columns = b.allocate(_batched_count(n, k, c, x))
     imgs = [b.new_object(f"I{ch}", n * n) for ch in range(c)]
     kers = [b.new_object(f"K{ch}", k * k) for ch in range(c)]
     out_n = n - k + 1
     res = b.new_object("R", out_n * out_n)
-    columns = b.allocate(_batched_count(n, k, c, x))
     batch, i, j, lane, cell = np.ogrid[:c // x, :out_n, :out_n, :x, :k * k]
     ch = batch * x + lane
     y, xx = divmod(cell, k)
@@ -369,7 +375,7 @@ def _fft_fill(
         m = h
     _place(columns, starts, (in_oids[:, :1], in_offsets[:, :1]))
     b.names += names.tolist()
-    b.sizes.frombytes(sizes.tobytes())
+    b.sizes += sizes.tolist()
     if n == 1:
         return src
     results = first + per_call * np.arange(count) + per_call - 1
@@ -386,9 +392,9 @@ def gen_fft(n: int) -> Trace:
     import numpy as np
 
     b = _TraceBuilder()
+    columns = b.allocate(_fft_access_count(n))
     a_obj = b.new_object("A", n)
     omega = b.new_object("omega", n // 2) if n > 1 else None
-    columns = b.allocate(_fft_access_count(n))
     _fft_fill(b, columns, 0, omega, (np.full((1, n), a_obj), np.arange(n)[None, :]), ["f"])
     return b.build()
 
@@ -410,10 +416,10 @@ def gen_fft_conv2d(n: int) -> Trace:
     import numpy as np
 
     b = _TraceBuilder()
+    columns = b.allocate(_fftconv2d_count(n))
     ker = b.new_object("Kpad", n * n)
     img = b.new_object("I", n * n)
     omega = b.new_object("omega", n // 2) if n > 1 else None
-    columns = b.allocate(_fftconv2d_count(n))
     per_pass = n * _fft_access_count(n)  # accesses of n transforms
     cells = np.arange(n * n).reshape(n, n)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dmclab import cli, models
+from dmclab import cli, models, tracegen
 from dmclab.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -185,6 +185,33 @@ def test_gen_beyond_physical_memory_exit_two(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_measured_sweep_beyond_physical_memory_exit_two(tmp_path, capsys):
+    # the point passes the lifted budget and is refused where its columns are allocated
+    out_path = tmp_path / "s.csv"
+    code, _, err = run(capsys, "sweep", "--alg", "matmul", "--n", "1000000", "--measure",
+                       "--force", "--out", str(out_path))
+    assert code == 2
+    assert "more than this machine's" in err
+    assert not out_path.exists()
+
+
+def test_analyze_block_beyond_64_bits_exit_two(tmp_path, capsys):
+    path = tmp_path / "one.dmt"
+    path.write_text("%object 0 4 A\n0 1\n")
+    code, out, err = run(capsys, "analyze", str(path), "--block", str(10**20))
+    assert (code, out) == (2, "")
+    assert err == f"dmclab: block_size {10**20} does not fit in 64 bits\n"
+
+
+def test_dmt_size_beyond_64_bits_exit_two(tmp_path, capsys):
+    path = tmp_path / "big.dmt"
+    path.write_text(f"%object 0 {2**63} A\n0 1\n")
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert err.startswith("dmclab: trace error: line 1: ")
+    assert "does not fit in 64 bits" in err
+
+
 def test_analyze_beyond_physical_memory_exit_two(tmp_path, capsys, monkeypatch):
     from dmclab import core
 
@@ -208,13 +235,16 @@ def test_sweep_model_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
 
 
 def test_trace_free_commands_never_import_numpy(tmp_path):
+    flags = {"k": "3", "c": "2", "x": "1"}
+    sweeps = [["sweep", "--alg", alg, "--n", "8..32", "--model", "--out", str(tmp_path / "s.csv"),
+               *(arg for name in kernel.sweep_flags for arg in (f"--{name}", flags[name]))]
+              for alg, kernel in tracegen.KERNELS.items()]
     script = "\n".join([
         "import sys",
         "from dmclab.cli import main",
         "assert main(['model', '--list']) == 0",
         "assert main(['advise', 'batch', '--n', '64', '--k', '3', '--c', '4']) == 0",
-        f"assert main(['sweep', '--alg', 'conv', '--n', '8..32', '--k', '3', '--model', "
-        f"'--out', {str(tmp_path / 's.csv')!r}]) == 0",
+        *(f"assert main({argv!r}) == 0" for argv in sweeps),
         "print('numpy' in sys.modules)",
     ])
     env = {**os.environ, "PYTHONPATH": str(SRC)}

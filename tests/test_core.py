@@ -9,6 +9,7 @@ from array import array
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -425,18 +426,18 @@ def _first_bad_access(objects, accesses):
 def traces_with_one_bad_access(draw):
     ids = draw(st.lists(st.integers(-3, 3) | EDGES.filter(lambda v: -(2**63) <= v < 2**63),
                         min_size=1, max_size=4, unique=True))
-    sizes = st.integers(1, 6) | st.sampled_from([2**63 - 1, 2**63, 2**70])
+    sizes = st.integers(1, 6) | st.sampled_from([2**63 - 2, 2**63 - 1])
     objs = [DataObject(oid, f"o{oid}", draw(sizes)) for oid in ids]
     picks = draw(st.lists(st.tuples(st.sampled_from(objs), st.integers(0, 2**63 - 1)),
                           max_size=20))
-    accesses = [(obj.id, off % min(obj.size, 2**63)) for obj, off in picks]
+    accesses = [(obj.id, off % obj.size) for obj, off in picks]
     obj = draw(st.sampled_from(objs))
     unknown = draw((st.integers(-(2**63), 2**63 - 1) | EDGES.filter(
         lambda v: -(2**63) <= v < 2**63)).filter(lambda v: v not in ids))
     bad = draw(st.sampled_from([
         (unknown, 0),
         (obj.id, draw(st.integers(-(2**63), -1))),
-        (obj.id, obj.size) if obj.size < 2**63 else (unknown, 2**63 - 1),
+        (obj.id, obj.size),
     ]))
     accesses.insert(draw(st.integers(0, len(accesses))), bad)
     return objs, accesses
@@ -446,7 +447,7 @@ def traces_with_one_bad_access(draw):
 @given(traces_with_one_bad_access(), st.integers(1, 8))
 @example(([DataObject(0, "A", 4)], [(0, 99)]), 8)
 @example(([DataObject(0, "A", 4)], [(1, 0)]), 8)
-@example(([DataObject(0, "A", 2**70)], [(0, 2**63 - 1), (0, -1)]), 8)
+@example(([DataObject(0, "A", 2**63 - 1)], [(0, 2**63 - 2), (0, -1)]), 8)
 def test_vectorised_validation_matches_per_access_loop(case, slice_accesses):
     objs, accesses = case
     with mock.patch.object(core, "VALIDATE_ACCESSES", slice_accesses):
@@ -508,6 +509,74 @@ def test_object_table_reads_as_a_list_of_data_objects(rows):
     assert table == expected and table == tuple(expected)
     assert Trace(expected, []) == trace
     assert Trace(table, []).objects is table
+
+
+def test_every_constructor_yields_read_only_int64_columns(tmp_path):
+    from dmclab import tracegen
+
+    objs = [DataObject(0, "A", 5), DataObject(3, "B", 2)]
+    pairs = [(0, 4), (3, 1), (0, 0)]
+    path = tmp_path / "t.dmt"
+    write_dmt(Trace(objs, pairs), path)
+    given = np.array([0, 3, 0]), np.array([4, 1, 0])
+    traces = {
+        "pairs": Trace(objs, pairs),
+        "from_columns": Trace.from_columns(objs, *given),
+        "read_dmt": read_dmt(path),
+        "generate": tracegen.generate(tracegen.GenSpec("conv", tracegen.ConvParams(4, 4, 2))),
+    }
+    layout = build_layout(objs, 4)
+    traces["apply_block_transform"] = engine.apply_block_transform(traces["pairs"], layout)
+    columns = {}
+    for name, trace in traces.items():
+        columns.update({f"{name}.oids": trace.oids, f"{name}.offsets": trace.offsets,
+                        f"{name}.objects.ids": trace.objects.ids,
+                        f"{name}.objects.sizes": trace.objects.sizes})
+    columns.update({"layout.ids": layout.ids, "layout.starts": layout.starts})
+    for name, column in columns.items():
+        assert np.asarray(column).dtype == np.int64, name
+        with pytest.raises((TypeError, ValueError)):  # read-only
+            column[0] = 1
+    # int64 arrays are taken over, not copied
+    assert np.shares_memory(traces["from_columns"].oids, given[0])
+    assert np.shares_memory(traces["from_columns"].offsets, given[1])
+
+
+NOT_INTS = [1.5, "1"]
+
+
+@pytest.mark.parametrize("value", NOT_INTS)
+@pytest.mark.parametrize("build", [
+    lambda v: Trace([DataObject(v, "A", 2)], []),
+    lambda v: Trace([DataObject(0, "A", v)], []),
+    lambda v: Trace([DataObject(0, "A", 2)], [(v, 0)]),
+    lambda v: Trace([DataObject(0, "A", 2)], [(0, v)]),
+    lambda v: Trace.from_columns([DataObject(0, "A", 2)], [v], [0]),
+    lambda v: Trace.from_columns([DataObject(0, "A", 2)], [0], [v]),
+    lambda v: ObjectTable([v], ["A"], [1]),
+    lambda v: ObjectTable([0], ["A"], [v]),
+], ids=["id", "size", "access id", "offset", "column id", "column offset", "table id",
+        "table size"])
+def test_non_integer_ids_sizes_and_offsets_raise_type_error(build, value):
+    with pytest.raises(TypeError):
+        build(value)
+
+
+def test_object_size_must_fit_in_64_bits():
+    DataObject(0, "A", 2**63 - 1)
+    with pytest.raises(ValidationError, match=r"^object 'A': size 9223372036854775808 does not "
+                                              r"fit in 64 bits$"):
+        DataObject(0, "A", 2**63)
+
+
+def test_block_size_must_fit_in_64_bits():
+    build_layout([DataObject(0, "A", 1)], 2**63 - 1)
+    for build in (lambda b: AnalysisConfig(block_size=b),
+                  lambda b: build_layout([DataObject(0, "A", 1)], b)):
+        with pytest.raises(ValidationError, match="^block_size must be >= 1$"):
+            build(0)
+        with pytest.raises(ValidationError, match=f"^block_size {2**63} does not fit in 64 bits$"):
+            build(2**63)
 
 
 def _layout_loop(objects, block_size):

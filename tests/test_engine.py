@@ -168,7 +168,7 @@ def test_analyze_trace_engines_agree(trace, block, cold):
 
 @pytest.mark.parametrize("engine_name", ["fast", "oracle"])
 def test_engines_reject_addresses_beyond_64_bits(engine_name):
-    trace = Trace([DataObject(0, "A", 2**63)], [(0, 0), (0, 1), (0, 0)])
+    trace = Trace([DataObject(0, "A", 2**62), DataObject(1, "B", 2**62)], [(0, 0), (1, 1), (0, 0)])
     with pytest.raises(ValidationError, match="beyond 64-bit addresses"):
         analyze_trace(trace, engine=engine_name)
 
