@@ -32,7 +32,7 @@ from dmclab.core import (
     read_dmt,
     write_dmt,
 )
-from dmclab.engine import analyze_trace
+from dmclab.engine import analyze_trace, measure
 
 SWEEP_ACCESS_BUDGET = 10**7
 
@@ -330,9 +330,9 @@ def _sweep_points(args) -> tuple[list[dict], list[str]]:
                     f"sweep point {point} needs {count} accesses "
                     f"(> {SWEEP_ACCESS_BUDGET}); pass --force to run it"
                 )
+            tracegen.check_memory(tracegen.generated_count(spec))
         for row, spec in zip(rows, specs):
-            trace = tracegen.generate(spec)
-            row["measured"] = analyze_trace(trace, AnalysisConfig()).reuse_dmd
+            row["measured"] = measure(spec).reuse_dmd
             total = row["model_total"]
             row["ratio"] = row["measured"] / total if total else math.nan
     return rows, columns

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -220,6 +221,9 @@ class Trace:
             self.oids, self.offsets = _column(oids), _column(offsets)
         except OverflowError:
             raise ValidationError("object ids and offsets must fit in 64 bits") from None
+        if len(self.oids) != len(self.offsets):
+            raise ValidationError(f"access columns differ in length: {len(self.oids)} object ids, "
+                                  f"{len(self.offsets)} offsets")
         self.objects = ObjectTable.of(objects)
         if validate:
             self._validate()
@@ -322,6 +326,14 @@ def _check_block_size(block_size: int) -> None:
         raise ValidationError(f"block_size {block_size} does not fit in 64 bits")
 
 
+def _check_granularity(bits: int) -> None:
+    """Raise unless `bits` is an element width of 1 bit up to the float range."""
+    if bits < 1:
+        raise ValidationError("granularity_bits must be >= 1")
+    if bits > sys.float_info.max:
+        raise ValidationError(f"granularity_bits must be at most {sys.float_info.max}")
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Knobs of one analysis run.
@@ -337,8 +349,7 @@ class AnalysisConfig:
     cold_policy: str = "exclude"
 
     def __post_init__(self):
-        if self.granularity_bits < 1:
-            raise ValidationError("granularity_bits must be >= 1")
+        _check_granularity(self.granularity_bits)
         _check_block_size(self.block_size)
         if self.cold_policy not in COLD_POLICIES:
             raise ValidationError(
@@ -414,8 +425,7 @@ def scale_granularity(report: DmdReport, bits: int) -> DmdReport:
     Counts and the histogram are unchanged; distances stay in element
     units.
     """
-    if bits < 1:
-        raise ValidationError("granularity bits must be >= 1")
+    _check_granularity(bits)
     factor = math.sqrt(bits)
     return replace(report, reuse_dmd=report.reuse_dmd * factor, cold_dmd=report.cold_dmd * factor)
 

@@ -21,9 +21,16 @@ that.  The count takes log2 N - 6 passes, each a stable partition by one
 bit of prev's rank: over all reuses for the high bits, then one segment
 of 2^16 ranks at a time while it is in cache; a bitset popcount counts
 the low six bits.  The engines' outputs are equal element-wise for every
-trace, and one fold turns either into a report.  numpy is imported only
-inside the functions that analyse a trace, so the CLI's model and advice
-commands never load it.
+trace.
+
+One fold (`_report`) turns a histogram, the bincount of the reuse
+distances, into a report.  `analyze_trace` passes the bincount of a whole
+trace's distances.  `measure` passes one built from a kernel's periodic
+prefix (`tracegen.prefix_rule`): one bincount per part of the prefix
+trace, summed with the parts' integer multiplicities, which is the full
+trace's histogram exactly.  numpy is imported only inside the functions
+that analyse a trace, so the CLI's model and advice commands never load
+it.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import math
 from itertools import compress
 from typing import TYPE_CHECKING, Hashable, Iterable, Optional, Sequence
 
+from dmclab import tracegen
 from dmclab.core import (
     AnalysisConfig,
     DmdReport,
@@ -264,23 +272,23 @@ def _finite(distances: Sequence[Optional[int]]) -> np.ndarray:
 
 
 def _report(
-    distances: np.ndarray,
+    counts: np.ndarray,
     n_accesses: int,
     config: AnalysisConfig,
     touched_sizes: Iterable[int],
 ) -> DmdReport:
     """The report of `n_accesses` accesses whose reuses have the int64
-    stack `distances`; the other accesses are cold."""
+    histogram `counts`, indexed by stack distance; the other accesses
+    are cold."""
     import numpy as np
 
-    counts = np.bincount(distances)
     bins = np.flatnonzero(counts)
     counts = counts[bins]
     # bit for bit the sum of c * math.sqrt(d): a distance or count below
     # 2**53 converts to float64 exactly, and sqrt and product are
     # correctly rounded
     reuse_dmd = math.fsum((counts * np.sqrt(bins)).tolist())
-    n_cold = n_accesses - len(distances)
+    n_cold = n_accesses - int(counts.sum())
     policy = config.cold_policy
     if policy == "exclude":
         cold_dmd = 0.0
@@ -314,7 +322,9 @@ def accumulate_dmd(
     Summation runs through math.fsum over the histogram, so it is exact
     regardless of trace length.
     """
-    return _report(_finite(distances), len(distances), config, touched_sizes)
+    import numpy as np
+
+    return _report(np.bincount(_finite(distances)), len(distances), config, touched_sizes)
 
 
 def apply_block_transform(trace: Trace, layout: LayoutTable) -> Trace:
@@ -348,6 +358,8 @@ def analyze_trace(
     """Measure a trace: block keys under its own layout, their reuse
     distances by `engine` ('fast' or 'oracle'), the fold into a report,
     then scaling to the element width."""
+    import numpy as np
+
     if engine not in ("fast", "oracle"):
         raise ValidationError(f"unknown engine {engine!r}; expected 'fast' or 'oracle'")
     b = config.block_size
@@ -362,8 +374,41 @@ def analyze_trace(
         distances = _reuse_distances(keys)[1]
     else:
         distances = _finite(_lru_distances(keys.tolist()))
-    report = _report(distances, len(trace), config, touched_sizes)
+    report = _report(np.bincount(distances), len(trace), config, touched_sizes)
     report.check()
     if config.granularity_bits > 1:
         report = scale_granularity(report, config.granularity_bits)
+    return report
+
+
+def measure(spec: tracegen.GenSpec) -> DmdReport:
+    """The report of ``analyze_trace(tracegen.generate(spec))`` under the
+    default AnalysisConfig(), from the kernel's prefix where it declares
+    one.
+
+    A distance depends only on the accesses before it, and at b = 1 the
+    prefix's keys repeat exactly where the full trace's do, so each part
+    of the prefix has the distances of every part of the full trace that
+    it stands for.  One bincount per part, summed with the parts' integer
+    multiplicities, is the full trace's histogram, and the fold makes the
+    same report from it.
+    """
+    import numpy as np
+
+    rule = tracegen.prefix_rule(spec)
+    if rule is None:
+        return analyze_trace(tracegen.generate(spec))
+    prefix, lengths, weights = rule
+    n_accesses = tracegen.access_count(spec)
+    if n_accesses >= 2**63:
+        raise ValidationError(f"the trace has {n_accesses} accesses; a report counts fewer than 2**63")
+    reuse, distances = _reuse_distances(_block_ids(tracegen.generate(prefix), 1))
+    # the reuses up to the end of each part
+    ends = np.cumsum(reuse)[np.cumsum(lengths) - 1].tolist()
+    size = int(distances.max(initial=0)) + 1
+    counts = np.zeros(size, dtype=np.int64)
+    for start, end, weight in zip([0, *ends], ends, weights):
+        counts += weight * np.bincount(distances[start:end], minlength=size)
+    report = _report(counts, n_accesses, AnalysisConfig(), ())
+    report.check()
     return report

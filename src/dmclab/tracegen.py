@@ -14,14 +14,22 @@ The record keeps that evaluation as its `result` attribute, outside its
 fields, so sweeps read the model columns without evaluating it again.
 
 Every generator first allocates its two columns at the trace's exact
-length, from the count function its kernel registers, which refuses a
-length beyond physical memory before any other work.  It then places
-its accesses into them a loop nest at a time (`_place`): the position where
-each iteration starts and each access's object id and offset are numpy
-expressions in the loop indices.  The recursive FFT generators know
-each call's place in the trace from its parent's, so they place one
-recursion depth at a time.  numpy is imported only inside the functions
-that build a trace, so the commands that make no trace never load it.
+length, from the count function its kernel registers, and refuses a
+length beyond physical memory (`check_memory`) before any other work.
+It then places its accesses into them a loop nest at a time (`_place`):
+the position where each iteration starts and each access's object id
+and offset are numpy expressions in the loop indices.  The recursive
+FFT generators know each call's place in the trace from its parent's,
+so they place one recursion depth at a time.  numpy is imported only
+inside the functions that build a trace, so the commands that make no
+trace never load it.
+
+A kernel whose trace repeats may declare a prefix (`Kernel.prefix`): a
+smaller parameter set whose trace is the full trace's first parts, up to
+a renaming of keys, and the integer multiplicity of each part.  matmul
+repeats by row of the outer loop, conv by output row and batchconv by
+batch, so `prefix_rule` lets a measurement at b = 1 read the full
+trace's histogram from the prefix's (`engine.measure`).
 """
 
 from __future__ import annotations
@@ -111,6 +119,12 @@ class Kernel:
     square: (n, *sweep flag values) -> params of the square sweep point.
     model: params -> the sweep's model columns, including model_total,
       read from the record's kept `result` where its own model gives them.
+    prefix: params -> (prefix params, part lengths, multiplicities), or
+      None when nothing repeats.  The prefix trace is its parts in order,
+      of the given lengths.  The full trace is consecutive parts of the
+      same lengths, the i-th prefix part standing for multiplicities[i]
+      of them, and at b = 1 each has its prefix part's stack distances,
+      access by access.
     """
 
     params: type
@@ -119,10 +133,21 @@ class Kernel:
     sweep_flags: tuple[str, ...]
     square: Callable[..., object]
     model: Callable[[object], dict]
+    prefix: Callable[[object], Optional[tuple]] = lambda params: None
 
     @property
     def param_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in fields(self.params))
+
+
+def check_memory(count: int) -> None:
+    """Raise if a trace of `count` accesses needs more than `physical_memory()`."""
+    memory = physical_memory()
+    if count * ACCESS_BYTES > memory:
+        raise ValidationError(
+            f"the trace has {count} accesses, {count * ACCESS_BYTES} bytes in memory, "
+            f"more than this machine's {memory} bytes"
+        )
 
 
 class _TraceBuilder:
@@ -150,12 +175,7 @@ class _TraceBuilder:
         access.  Raises if they need more than `physical_memory()`."""
         import numpy as np
 
-        memory = physical_memory()
-        if count * ACCESS_BYTES > memory:
-            raise ValidationError(
-                f"the trace has {count} accesses, {count * ACCESS_BYTES} bytes in memory, "
-                f"more than this machine's {memory} bytes"
-            )
+        check_memory(count)
         self.columns = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
         return self.columns
 
@@ -189,6 +209,23 @@ def generate(spec: GenSpec) -> Trace:
 def access_count(spec: GenSpec) -> int:
     """Exact trace length for a GenSpec, without generating it."""
     return KERNELS[spec.algorithm].count(*astuple(spec.params))
+
+
+def prefix_rule(spec: GenSpec) -> Optional[tuple[GenSpec, tuple[int, ...], tuple[int, ...]]]:
+    """(prefix spec, part lengths, multiplicities) of a GenSpec whose
+    kernel declares a prefix for its parameters, else None."""
+    rule = KERNELS[spec.algorithm].prefix(spec.params)
+    if rule is None:
+        return None
+    params, lengths, weights = rule
+    return GenSpec(spec.algorithm, params), lengths, weights
+
+
+def generated_count(spec: GenSpec) -> int:
+    """Length of the trace that measuring a GenSpec generates: its
+    prefix's where its kernel declares one."""
+    rule = prefix_rule(spec)
+    return access_count(rule[0] if rule else spec)
 
 
 def _matmul_count(m: int, n: int, l: int) -> int:
@@ -442,6 +479,30 @@ def gen_fft_conv2d(n: int) -> Trace:
 # --- kernel registry --------------------------------------------------------
 
 
+def _matmul_prefix(p: MatmulParams) -> Optional[tuple]:
+    # rows 1 ... m-1 of the outer loop repeat row 1's distances
+    if p.m <= 2:
+        return None
+    row = _matmul_count(1, p.n, p.l)
+    return MatmulParams(2, p.n, p.l), (row, row), (1, p.m - 1)
+
+
+def _conv_prefix(p: ConvParams) -> Optional[tuple]:
+    # output rows 2 ... h-k repeat row 2's distances
+    if p.h - p.k + 1 <= 3:
+        return None
+    row = _conv_count(p.k, p.w, p.k)
+    return ConvParams(p.k + 2, p.w, p.k), (row, row, row), (1, 1, p.h - p.k - 1)
+
+
+def _batched_prefix(p: BatchParams) -> Optional[tuple]:
+    # batches 1 ... c/x-1 repeat batch 1's distances
+    if p.c // p.x <= 2:
+        return None
+    batch = _batched_count(p.n, p.k, p.x, p.x)
+    return BatchParams(p.n, p.k, 2 * p.x, p.x), (batch, batch), (1, p.c // p.x - 1)
+
+
 def _fft_columns(p: FftParams) -> dict:
     lower, upper = p.result
     return {"model_lower": lower, "model_upper": upper, "model_total": lower}
@@ -451,11 +512,13 @@ KERNELS = {
     "matmul": Kernel(
         MatmulParams, gen_matmul, _matmul_count,
         (), lambda n: MatmulParams(n, n, n),
-        lambda p: {"model_total": p.result}),
+        lambda p: {"model_total": p.result},
+        _matmul_prefix),
     "conv": Kernel(
         ConvParams, gen_conv, _conv_count,
         ("k",), lambda n, k: ConvParams(n, n, k),
-        lambda p: {"model_total": p.result.total, "model_asymptotic": p.result.asymptotic}),
+        lambda p: {"model_total": p.result.total, "model_asymptotic": p.result.asymptotic},
+        _conv_prefix),
     "im2col": Kernel(
         Im2colParams, gen_im2col, _im2col_count,
         ("k",), Im2colParams,
@@ -463,7 +526,8 @@ KERNELS = {
     "batchconv": Kernel(
         BatchParams, gen_batched_conv, _batched_count,
         ("k", "c", "x"), BatchParams,
-        lambda p: {"model_total": p.result.total}),
+        lambda p: {"model_total": p.result.total},
+        _batched_prefix),
     "fft": Kernel(
         FftParams, gen_fft, _fft_access_count,
         (), FftParams,

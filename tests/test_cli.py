@@ -12,6 +12,7 @@ import pytest
 
 from dmclab import cli, models, tracegen
 from dmclab.cli import main
+from dmclab.engine import analyze_trace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -195,6 +196,35 @@ def test_measured_sweep_beyond_physical_memory_exit_two(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_measured_sweep_refuses_beyond_memory_before_any_point(tmp_path, capsys, monkeypatch):
+    # n=128 fits; n=10**6's prefix of two rows still needs 4e12 accesses
+    generated = []
+    monkeypatch.setattr(tracegen, "generate", lambda spec: generated.append(spec))
+    out_path = tmp_path / "s.csv"
+    code, _, err = run(capsys, "sweep", "--alg", "matmul", "--n", "128,1000000", "--measure",
+                       "--force", "--out", str(out_path))
+    assert code == 2
+    assert err.startswith("dmclab: the trace has 4000002000000 accesses")
+    assert "more than this machine's" in err
+    assert generated == []
+    assert not out_path.exists()
+
+
+def test_forced_sweep_beyond_full_trace_memory_measures_its_prefix(tmp_path, capsys, monkeypatch):
+    # the full trace's 16,400 accesses exceed this memory; its prefix's 1,640 fit
+    from dmclab import core
+
+    monkeypatch.setattr(tracegen, "physical_memory", lambda: 10_000 * core.ACCESS_BYTES)
+    out_path = tmp_path / "s.csv"
+    code, _, err = run(capsys, "sweep", "--alg", "matmul", "--n", "20", "--both",
+                       "--out", str(out_path))
+    assert (code, err) == (0, "")
+    (row,) = csv_rows(out_path)
+    monkeypatch.undo()
+    spec = tracegen.GenSpec("matmul", tracegen.MatmulParams(20, 20, 20))
+    assert float(row["measured"]) == analyze_trace(tracegen.generate(spec)).reuse_dmd
+
+
 def test_analyze_block_beyond_64_bits_exit_two(tmp_path, capsys):
     path = tmp_path / "one.dmt"
     path.write_text("%object 0 4 A\n0 1\n")
@@ -222,6 +252,15 @@ def test_analyze_beyond_physical_memory_exit_two(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert err.startswith("dmclab: trace error: line 5: ")
     assert "more than this machine's" in err
+
+
+@pytest.mark.parametrize("bits", ["0", "1" + "0" * 400])
+def test_analyze_bits_out_of_range_exit_two(tmp_path, capsys, bits):
+    path = tmp_path / "one.dmt"
+    path.write_text("%object 0 4 A\n0 1\n0 1\n")
+    code, out, err = run(capsys, "analyze", str(path), "--bits", bits)
+    assert (code, out) == (2, "")
+    assert err.startswith("dmclab: granularity_bits must be ")
 
 
 def test_sweep_model_evaluates_each_point_once(tmp_path, capsys, monkeypatch):

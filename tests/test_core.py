@@ -97,6 +97,17 @@ def test_build_layout_block_one_is_contiguous():
     assert dict(zip(layout.ids, layout.starts)) == {0: 0, 1: 5}
 
 
+def test_granularity_beyond_float_range_is_refused():
+    report = DmdReport(reuse_dmd=1.0, cold_dmd=0.0, n_accesses=2, n_cold=1, histogram={1: 1})
+    scale_granularity(report, 2**1023)
+    for check in (lambda bits: AnalysisConfig(granularity_bits=bits),
+                  lambda bits: scale_granularity(report, bits)):
+        with pytest.raises(ValidationError, match="^granularity_bits must be >= 1$"):
+            check(0)
+        with pytest.raises(ValidationError, match="^granularity_bits must be at most "):
+            check(2**1024)
+
+
 def test_scale_granularity_exact():
     report = DmdReport(
         reuse_dmd=10.0, cold_dmd=4.0, n_accesses=7, n_cold=3,
@@ -546,6 +557,13 @@ def test_every_constructor_yields_read_only_int64_columns(tmp_path):
     # int64 arrays are taken over, not copied
     assert np.shares_memory(traces["from_columns"].oids, given[0])
     assert np.shares_memory(traces["from_columns"].offsets, given[1])
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_from_columns_rejects_unequal_columns(validate):
+    with pytest.raises(ValidationError, match="^access columns differ in length: "
+                                              "3 object ids, 1 offsets$"):
+        Trace.from_columns([DataObject(0, "A", 2)], [0, 0, 0], [1], validate=validate)
 
 
 NOT_INTS = [1.5, "1"]

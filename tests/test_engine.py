@@ -1,5 +1,6 @@
 """Distance engines, cold policies, block transform, and analysis glue."""
 
+import dataclasses
 import math
 import random
 
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmclab import engine
+from dmclab import engine, tracegen
 from dmclab.core import (
     COLD_POLICIES,
     AnalysisConfig,
     DataObject,
+    DmdReport,
     Trace,
     ValidationError,
     build_layout,
@@ -22,9 +24,11 @@ from dmclab.engine import (
     analyze_trace,
     apply_block_transform,
     cold_cost,
+    measure,
     stack_distances_fast,
     stack_distances_oracle,
 )
+from dmclab.tracegen import KERNELS, BatchParams, ConvParams, GenSpec, MatmulParams
 
 
 def letter_trace(text: str) -> Trace:
@@ -245,3 +249,99 @@ def test_keys_too_wide_to_pack_beside_positions():
         same_reuse, same_distances = engine._reuse_distances(column)
         assert same_reuse.tolist() == reuse.tolist()
         assert same_distances.tolist() == distances.tolist()
+
+
+# --- measurement from a kernel's periodic prefix ---------------------------
+
+
+def assert_same_report(spec: GenSpec) -> None:
+    """measure(spec) equals the full trace's report, field by field."""
+    expected = analyze_trace(tracegen.generate(spec))
+    got = measure(spec)
+    for field in dataclasses.fields(DmdReport):
+        assert getattr(got, field.name) == getattr(expected, field.name), (spec, field.name)
+
+
+@st.composite
+def periodic_specs(draw) -> GenSpec:
+    """Small matmul, conv and batchconv points, with or without a prefix."""
+    alg = draw(st.sampled_from(["matmul", "conv", "batchconv"]))
+    if alg == "matmul":
+        return GenSpec(alg, MatmulParams(*draw(st.tuples(*[st.integers(1, 9)] * 3))))
+    k = draw(st.integers(1, 5 if alg == "conv" else 3))
+    if alg == "conv":
+        h, w = draw(st.tuples(*[st.integers(k, k + 10)] * 2))
+        return GenSpec(alg, ConvParams(h, w, k))
+    x = draw(st.integers(1, 3))
+    return GenSpec(alg, BatchParams(draw(st.integers(k, 8)), k, x * draw(st.integers(1, 6)), x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(periodic_specs())
+@example(GenSpec("matmul", MatmulParams(5, 3, 7)))
+@example(GenSpec("conv", ConvParams(11, 6, 3)))
+@example(GenSpec("conv", ConvParams(5, 13, 2)))
+@example(GenSpec("batchconv", BatchParams(6, 2, 12, 3)))
+def test_measure_equals_full_trace_report(spec):
+    assert_same_report(spec)
+
+
+# the sweeps of the benchmark's sweep_small workload, as (kernel, n values, sweep flags)
+SWEEP_SMALL = [
+    ("conv", range(8, 65, 8), [(3,)]),
+    ("matmul", range(4, 33, 4), [()]),
+    ("im2col", range(8, 49, 8), [(3,)]),
+    ("batchconv", (16, 32), [(3, 8, x) for x in (1, 2, 4, 8)]),
+    ("fft", [2**i for i in range(1, 13)], [()]),
+    ("fftconv2d", (2, 4, 8, 16), [()]),
+]
+
+
+def test_measure_equals_full_trace_report_on_sweep_points():
+    specs = [GenSpec(alg, KERNELS[alg].square(n, *flags))
+             for alg, ns, flag_sets in SWEEP_SMALL for n in ns for flags in flag_sets]
+    assert len(specs) == 46
+    assert sum(tracegen.prefix_rule(spec) is not None for spec in specs) == 20
+    for spec in specs:
+        assert_same_report(spec)
+
+
+def test_prefix_parts_cover_prefix_and_full_trace():
+    specs = [GenSpec("matmul", MatmulParams(m, n, l)) for m in (3, 4, 9) for n in (1, 5) for l in (1, 4)]
+    specs += [GenSpec("conv", ConvParams(h, w, k)) for k in (1, 3) for h in (k + 3, k + 8)
+              for w in (k, k + 5)]
+    specs += [GenSpec("batchconv", BatchParams(n, k, c, x)) for n, k in ((3, 1), (7, 3))
+              for c, x in ((3, 1), (8, 2), (12, 3))]
+    for spec in specs:
+        prefix, lengths, weights = tracegen.prefix_rule(spec)
+        assert sum(lengths) == tracegen.access_count(prefix) == len(tracegen.generate(prefix))
+        assert sum(l * w for l, w in zip(lengths, weights)) == tracegen.access_count(spec)
+        assert tracegen.generated_count(spec) == sum(lengths)
+
+
+def test_prefix_declared_only_where_a_part_repeats():
+    assert tracegen.prefix_rule(GenSpec("matmul", MatmulParams(2, 5, 5))) is None
+    assert tracegen.prefix_rule(GenSpec("conv", ConvParams(5, 9, 3))) is None
+    assert tracegen.prefix_rule(GenSpec("batchconv", BatchParams(5, 3, 4, 2))) is None
+    assert tracegen.prefix_rule(GenSpec("conv", ConvParams(6, 9, 3)))[2] == (1, 1, 2)
+
+
+@pytest.mark.parametrize("spec", [
+    GenSpec("im2col", tracegen.Im2colParams(12, 3)),
+    GenSpec("fft", tracegen.FftParams(64)),
+    GenSpec("fftconv2d", tracegen.FftParams(4)),
+    GenSpec("matmul", MatmulParams(2, 6, 6)),
+], ids=lambda spec: spec.algorithm)
+def test_kernels_without_prefix_measure_full_trace(spec, monkeypatch):
+    generated = []
+    generate = tracegen.generate
+    monkeypatch.setattr(tracegen, "generate", lambda s: generated.append(s) or generate(s))
+    assert tracegen.prefix_rule(spec) is None
+    assert_same_report(spec)
+    assert generated == [spec, spec]
+
+
+def test_measure_refuses_counts_beyond_64_bits():
+    spec = GenSpec("batchconv", BatchParams(3, 1, 2**62, 1))
+    with pytest.raises(ValidationError, match="fewer than 2\\*\\*63"):
+        measure(spec)
