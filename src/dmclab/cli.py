@@ -24,6 +24,7 @@ from dataclasses import asdict, fields, is_dataclass
 
 from dmclab import advisor, models, tracegen
 from dmclab.core import (
+    ANALYSIS_BYTES,
     COLD_POLICIES,
     AnalysisConfig,
     DmcError,
@@ -145,8 +146,7 @@ def cmd_analyze(args) -> int:
     config = AnalysisConfig(
         granularity_bits=args.bits, block_size=args.block, cold_policy=args.cold
     )
-    trace = read_dmt(args.trace)
-    report = analyze_trace(trace, config, engine="oracle" if args.oracle else "fast")
+    report = analyze_trace(read_dmt(args.trace), config, engine="oracle" if args.oracle else "fast")
     text = json.dumps(report.to_json_dict(), indent=2)
     if args.report:
         with open(args.report, "w") as fh:
@@ -330,7 +330,7 @@ def _sweep_points(args) -> tuple[list[dict], list[str]]:
                     f"sweep point {point} needs {count} accesses "
                     f"(> {SWEEP_ACCESS_BUDGET}); pass --force to run it"
                 )
-            tracegen.check_memory(tracegen.generated_count(spec))
+            tracegen.check_memory(tracegen.generated_count(spec), ANALYSIS_BYTES)
         for row, spec in zip(rows, specs):
             row["measured"] = measure(spec).reuse_dmd
             total = row["model_total"]

@@ -16,12 +16,15 @@ the distance of a reuse is the dominance count
     d(i) = #{j < i : prev[j] <= prev[i]} - prev[i],
 
 taken exactly in integer arithmetic.  prev comes from one sort of keys
-packed beside their positions, or a stable argsort of keys too wide for
-that.  The count takes log2 N - 6 passes, each a stable partition by one
-bit of prev's rank: over all reuses for the high bits, then one segment
-of 2^16 ranks at a time while it is in cache; a bitset popcount counts
-the low six bits.  The engines' outputs are equal element-wise for every
-trace.
+packed beside their positions in the key column, which the engine takes
+over, or a stable argsort of keys too wide for that; positions are int32.
+The count takes log2 N - 6 passes, each a stable partition by one bit of
+prev's rank, one segment of 2^16 slots at a time, and a bitset popcount
+for the low six bits.  The engines' outputs are equal element-wise for
+every trace.  `analyze_trace` lets a caller's temporary trace go once
+its keys exist, so a gen -> analyze peaks near 30 bytes per access: the
+trace's 16 beside the keys' 8, then about 26 in the engine (tracemalloc,
+fft and conv at 10^6 accesses).
 
 One fold (`_report`) turns a histogram, the bincount of the reuse
 distances, into a report.  `analyze_trace` passes the bincount of a whole
@@ -141,15 +144,34 @@ def _partition_pass(slots: np.ndarray, out: np.ndarray, l: int,
     tail[len(clears) - full:] = sets[full:]
 
 
-def _partition(slots: np.ndarray, spare: np.ndarray, bits: range,
+def _high_pass(slots: np.ndarray, out: np.ndarray, l: int,
                mask: np.ndarray, columns: np.ndarray) -> None:
-    """The passes over `bits`, high to low, on `slots` in place; `spare`
-    and `mask` are scratch of the same length."""
-    for l in bits:
-        _partition_pass(slots, spare, l, mask, columns)
-        slots, spare = spare, slots
-    if len(bits) % 2:
-        spare[:] = slots
+    """The pass over bit l >= _SEGMENT_BITS of _count_smaller_before, from
+    `slots` into `out`, one segment at a time; `mask` and `columns` span a
+    segment.  A segment lies in one group, the ranks start ... start +
+    2^(l+1) - 1: its clear ranks go to the group's first 2^l slots and its
+    set ranks, those from start + 2^l, to the rest, each in order."""
+    import numpy as np
+
+    size, half = 1 << _SEGMENT_BITS, 1 << l
+    for lo in range(0, len(slots), size):
+        segment, start = slots[lo:lo + size], lo & -(2 * half)
+        if lo == start:
+            clears = sets = 0  # the group's ranks placed so far
+        n, is_set = len(segment), mask[:len(segment)]
+        np.greater_equal(segment, (start + half) << 32, out=is_set)
+        # a set rank's count grows by its place in the group less the
+        # group's set ranks before it
+        before = np.flatnonzero(is_set)
+        k = len(before)
+        before += lo - start - sets
+        before -= columns[:k]
+        placed = out[start + half + sets:start + half + sets + k]
+        np.compress(is_set, segment, out=placed)
+        placed += before
+        np.logical_not(is_set, out=is_set)
+        np.compress(is_set, segment, out=out[start + clears:start + clears + n - k])
+        clears, sets = clears + n - k, sets + k
 
 
 def _count_smaller_before(ranks: np.ndarray) -> np.ndarray:
@@ -163,30 +185,37 @@ def _count_smaller_before(ranks: np.ndarray) -> np.ndarray:
     stably by bit l.
 
     Each slot holds rank << 32 | count in one int64, so a pass moves one
-    array.  The passes over bits _SEGMENT_BITS and up run over all slots.
-    Every later pass stays inside one segment of 2^_SEGMENT_BITS slots,
-    so each segment then takes all its remaining passes while it is in
-    cache.  They stop at bit _FINISH_BITS: each group of 2^_FINISH_BITS
-    slots holds as many consecutive ranks, and a running OR of their
-    one-hot low bits counts the smaller ones before each slot.
+    array.  The passes over bits _SEGMENT_BITS and up (`_high_pass`) read
+    one segment of 2^_SEGMENT_BITS slots at a time, inside one group.
+    Every later pass stays inside one segment, so each segment then takes
+    all its remaining passes while it is in cache.  They stop at bit
+    _FINISH_BITS: each group of 2^_FINISH_BITS slots holds as many
+    consecutive ranks, and a running OR of their one-hot low bits counts
+    the smaller ones before each slot.
     """
     import numpy as np
 
     top = max(len(ranks) - 1, 0).bit_length()
     low = min(_SEGMENT_BITS, top)
+    size, group = 1 << _SEGMENT_BITS, 1 << _FINISH_BITS
     slots = ranks.astype(np.int64)
     slots <<= 32
-    # one shared, read-only table of column numbers for every pass
-    columns = np.arange(1 << max(top - 1, 0), dtype=np.int32)
     spare = np.empty_like(slots)
-    mask = np.empty(len(slots), dtype=bool)
-    _partition(slots, spare, range(top - 1, low - 1, -1), mask, columns)
-    size, group = 1 << _SEGMENT_BITS, 1 << _FINISH_BITS
+    # one segment's mask and read-only column numbers, shared by every pass
+    head = min(len(slots), size)
+    mask, columns = np.empty(head, dtype=bool), np.arange(head, dtype=np.int32)
+    for l in range(top - 1, low - 1, -1):
+        _high_pass(slots, spare, l, mask, columns)
+        slots, spare = spare, slots
     for lo in range(0, len(slots), size):
         segment = slots[lo:lo + size]
         n = len(segment)
         # every segment reuses the same head of the buffers, still in cache
-        _partition(segment, spare[:n], range(low - 1, _FINISH_BITS - 1, -1), mask[:n], columns)
+        work, other = segment, spare[:n]
+        for l in range(low - 1, _FINISH_BITS - 1, -1):
+            _partition_pass(work, other, l, mask[:n], columns)
+            work, other = other, work
+        segment[:] = work  # no copy when work is segment
         whole = -(-n // group) * group  # the padding changes no slot before it
         bit, seen = np.empty((2, whole), dtype=np.uint64)
         np.right_shift(segment.view(np.uint64), 32, out=bit[:n])
@@ -200,14 +229,15 @@ def _count_smaller_before(ranks: np.ndarray) -> np.ndarray:
         place &= size - 1
         spare[place] = segment  # rank r to slot r
         segment[:] = spare[:n]
-    del spare, mask
     slots &= 0xFFFFFFFF
-    return slots[ranks]
+    for lo in range(0, len(slots), size):  # a segment of ranks at a time becomes intp
+        np.take(slots, ranks[lo:lo + size], out=spare[lo:lo + size])
+    return spare
 
 
 def _reuse_distances(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(reuse mask, stack distance of each reuse in access order) of a
-    key column."""
+    """(reuse mask, stack distance of each reuse in access order) of a key
+    column, which it takes over and reorders: pass it the only reference."""
     import numpy as np
 
     n = len(keys)
@@ -217,25 +247,28 @@ def _reuse_distances(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shift = max(n - 1, 0).bit_length()
     bound = 1 << (63 - shift)
     if n and -bound <= keys.min() and keys.max() < bound:
-        sorted_keys = np.arange(n)  # the positions until the sort is done
-        order = keys << shift
-        order |= sorted_keys
-        order.sort()
-        np.right_shift(order, shift, out=sorted_keys)
-        order &= (1 << shift) - 1
+        keys <<= shift
+        step = 1 << _SEGMENT_BITS
+        for lo in range(0, n, step):
+            keys[lo:lo + step] |= np.arange(lo, min(lo + step, n))
+        keys.sort()
+        # positions below _MAX_ACCESSES are exact in int32
+        order = np.empty(n, dtype=np.int32)
+        np.bitwise_and(keys, (1 << shift) - 1, out=order, casting="unsafe")
+        keys >>= shift
     else:
         order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-    same = sorted_keys[1:] == sorted_keys[:-1]
-    del sorted_keys  # arrays go once used: on long traces they set peak memory
-    prev = np.full(n, -1, dtype=np.int64)
+        keys = keys[order]
+    same = keys[1:] == keys[:-1]
+    del keys  # arrays go once used: on long traces they set peak memory
+    prev = np.full(n, -1, dtype=np.int32)
     prev[order[1:][same]] = order[:-1][same]
     del order, same
     reuse = prev >= 0
     p = prev[reuse]
     del prev
     # prev is distinct over reuses: rank it among them, in access order;
-    # positions and counts below _MAX_ACCESSES are exact in int32
+    # counts below _MAX_ACCESSES are exact in int32
     has_next = np.zeros(n, dtype=bool)
     has_next[p] = True
     ranks = np.cumsum(has_next, dtype=np.int32)[p]
@@ -363,18 +396,22 @@ def analyze_trace(
     if engine not in ("fast", "oracle"):
         raise ValidationError(f"unknown engine {engine!r}; expected 'fast' or 'oracle'")
     b = config.block_size
+    n_accesses = len(trace)
     touched_sizes = ()
     if config.cold_policy == "per_object":
         # build_layout aligns every object to a block, so an object of
         # size s occupies exactly ceil(s / b) blocks
         sizes = compress(trace.objects.sizes.tolist(), trace._touched())
         touched_sizes = [-(-size // b) for size in sizes]
-    keys = _block_ids(trace, b)
+    # the engine takes the key column over from this list; a caller's
+    # temporary trace frees its columns here, before the distances
+    keys = [_block_ids(trace, b)]
+    del trace
     if engine == "fast":
-        distances = _reuse_distances(keys)[1]
+        distances = _reuse_distances(keys.pop())[1]
     else:
-        distances = _finite(_lru_distances(keys.tolist()))
-    report = _report(np.bincount(distances), len(trace), config, touched_sizes)
+        distances = _finite(_lru_distances(keys.pop().tolist()))
+    report = _report(np.bincount(distances), n_accesses, config, touched_sizes)
     report.check()
     if config.granularity_bits > 1:
         report = scale_granularity(report, config.granularity_bits)

@@ -140,12 +140,12 @@ class Kernel:
         return tuple(f.name for f in fields(self.params))
 
 
-def check_memory(count: int) -> None:
-    """Raise if a trace of `count` accesses needs more than `physical_memory()`."""
+def check_memory(count: int, per_access: int = ACCESS_BYTES) -> None:
+    """Raise if `count` accesses, `per_access` bytes each, need more than `physical_memory()`."""
     memory = physical_memory()
-    if count * ACCESS_BYTES > memory:
+    if count * per_access > memory:
         raise ValidationError(
-            f"the trace has {count} accesses, {count * ACCESS_BYTES} bytes in memory, "
+            f"the trace has {count} accesses, {count * per_access} bytes in memory, "
             f"more than this machine's {memory} bytes"
         )
 

@@ -187,7 +187,7 @@ def test_gen_beyond_physical_memory_exit_two(tmp_path, capsys):
 
 
 def test_measured_sweep_beyond_physical_memory_exit_two(tmp_path, capsys):
-    # the point passes the lifted budget and is refused where its columns are allocated
+    # the point passes the lifted budget and is refused by the up-front check, before any trace
     out_path = tmp_path / "s.csv"
     code, _, err = run(capsys, "sweep", "--alg", "matmul", "--n", "1000000", "--measure",
                        "--force", "--out", str(out_path))
