@@ -29,7 +29,8 @@ smaller parameter set whose trace is the full trace's first parts, up to
 a renaming of keys, and the integer multiplicity of each part.  matmul
 repeats by row of the outer loop, conv by output row and batchconv by
 batch, so `prefix_rule` lets a measurement at b = 1 read the full
-trace's histogram from the prefix's (`engine.measure`).
+trace's histogram from the prefix's (`engine.measure`) without
+generating the full trace.
 """
 
 from __future__ import annotations
@@ -124,7 +125,11 @@ class Kernel:
       of the given lengths.  The full trace is consecutive parts of the
       same lengths, the i-th prefix part standing for multiplicities[i]
       of them, and at b = 1 each has its prefix part's stack distances,
-      access by access.
+      access by access.  A declared prefix is trusted, not checked: it
+      lets `engine.measure` skip generating the repeated parts, so a
+      kernel declares one only where a test shows equality.  A trace that
+      is generated anyway needs none, because `engine.analyze_trace`
+      finds and verifies a repeating tail in the trace itself.
     """
 
     params: type

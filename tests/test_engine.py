@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import tracemalloc
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -29,7 +30,15 @@ from dmclab.engine import (
     stack_distances_fast,
     stack_distances_oracle,
 )
-from dmclab.tracegen import KERNELS, BatchParams, ConvParams, FftParams, GenSpec, MatmulParams
+from dmclab.tracegen import (
+    KERNELS,
+    BatchParams,
+    ConvParams,
+    FftParams,
+    GenSpec,
+    Im2colParams,
+    MatmulParams,
+)
 
 
 def letter_trace(text: str) -> Trace:
@@ -363,3 +372,180 @@ def test_measure_refuses_counts_beyond_64_bits():
     spec = GenSpec("batchconv", BatchParams(3, 1, 2**62, 1))
     with pytest.raises(ValidationError, match="fewer than 2\\*\\*63"):
         measure(spec)
+
+
+def test_every_object_of_a_periodic_kernel_is_touched():
+    # so per_object's sizes follow from the parameters alone
+    specs = [GenSpec(alg, KERNELS[alg].square(n, *flags)) for alg, ns, flag_sets in SWEEP_SMALL
+             if alg in ("matmul", "conv", "batchconv") for n in ns for flags in flag_sets]
+    specs += [GenSpec("matmul", MatmulParams(m, n, l)) for m, n, l in ((30, 17, 13), (1, 1, 1), (19, 32, 2))]
+    specs += [GenSpec("conv", ConvParams(h, w, k)) for h, w, k in ((17, 23, 5), (50, 3, 3), (4, 4, 4))]
+    specs += [GenSpec("batchconv", BatchParams(n, k, c, x)) for n, k, c, x in ((7, 2, 6, 3), (3, 3, 1, 1))]
+    assert len(specs) == 32
+    for spec in specs:
+        assert all(tracegen.generate(spec)._touched()), spec
+
+
+# --- counting a verified repeating tail once --------------------------------
+
+
+def unshortened_report(trace: Trace, config: AnalysisConfig) -> DmdReport:
+    """The report folded from the bincount of every access's distance."""
+    b = config.block_size
+    counts = np.bincount(engine._reuse_distances(engine._block_ids(trace, b))[1])
+    sizes = ()
+    if config.cold_policy == "per_object":
+        sizes = [-(-s // b) for s in compress(trace.objects.sizes.tolist(), trace._touched())]
+    return engine._report(counts, len(trace), config, sizes)
+
+
+def assert_equal_reports(got: DmdReport, expected: DmdReport, label) -> None:
+    for field in dataclasses.fields(DmdReport):
+        assert getattr(got, field.name) == getattr(expected, field.name), (label, field.name)
+
+
+def found_periods(monkeypatch) -> list:
+    """Every result of engine._tail_period from now on, in call order."""
+    found = []
+    search = engine._tail_period
+    monkeypatch.setattr(engine, "_tail_period", lambda prev: found.append(search(prev)) or found[-1])
+    return found
+
+
+PERIODIC_GRID = [
+    GenSpec("conv", ConvParams(300, 10, 3)),
+    GenSpec("conv", ConvParams(200, 13, 2)),
+    GenSpec("matmul", MatmulParams(400, 5, 7)),
+    GenSpec("matmul", MatmulParams(300, 3, 10)),
+    *[GenSpec("batchconv", BatchParams(20, 3, 4, x)) for x in (4, 2, 1)],
+    *[GenSpec("batchconv", BatchParams(10, 3, 16, x)) for x in (16, 8, 1)],
+]
+
+
+@pytest.mark.parametrize("spec", PERIODIC_GRID,
+                         ids=lambda spec: "-".join(map(str, [spec.algorithm, *dataclasses.astuple(spec.params)])))
+def test_repeating_tail_counted_once_equals_full_count(spec, monkeypatch):
+    trace = tracegen.generate(spec)
+    assert len(trace) >= engine._PERIOD_MIN_ACCESSES
+    found = found_periods(monkeypatch)
+    for b in (1, 2, 3, 4, 8, 16):
+        for cold in COLD_POLICIES:
+            config = AnalysisConfig(block_size=b, cold_policy=cold)
+            assert_equal_reports(analyze_trace(trace, config), unshortened_report(trace, config), (b, cold))
+    used = [period is not None for period in found[::len(COLD_POLICIES)]]
+    # conv and matmul rows repeat at every b, and batchconv's 16 batches of
+    # one channel; the rows of its single batch do at b = 1
+    if spec.algorithm != "batchconv":
+        assert used[:5] == [True] * 5
+    elif (spec.params.c, spec.params.x) == (16, 1):
+        assert all(used)
+    elif (spec.params.c, spec.params.x) == (4, 4):
+        assert used[0]
+
+
+def periodic_trace(head: list, pattern: list, periods: int, lag: int, late=None) -> Trace:
+    """`head`, then `periods` repetitions of `pattern`, whose slots hold a
+    shared key (an int), a key fresh to the period (None) or "lag": the
+    first fresh slot's key of `lag` periods before.  late = (position,
+    shared key) replaces one access."""
+    tau = len(pattern)
+    fresh = [i for i, key in enumerate(pattern) if key is None]
+    slot = {i: fresh[0] if key == "lag" and fresh else i for i, key in enumerate(pattern)}
+    accesses = [(oid, off % (10 if oid == 0 else tau * periods)) for oid, off in head]
+    for period in range(periods):
+        accesses += [(0, key) if isinstance(key, int) else
+                     (1, (period - lag * (key == "lag")) % periods * tau + slot[i])
+                     for i, key in enumerate(pattern)]
+    if late is not None:
+        accesses[late[0]] = (0, late[1])
+    return Trace([DataObject(0, "shared", 10), DataObject(1, "fresh", tau * periods)], accesses)
+
+
+@st.composite
+def periodic_traces(draw):
+    """A random head, then a periodic body, optionally broken at one late
+    access, so that a reuse's window can reach back across the break."""
+    tau = draw(st.integers(1, 12))
+    pattern = draw(st.lists(st.one_of(st.integers(0, 9), st.none(), st.just("lag")),
+                            min_size=tau, max_size=tau))
+    head = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 10**6)), max_size=60))
+    periods, lag = draw(st.integers(20, 150)), draw(st.integers(1, 8))
+    late = None
+    if draw(st.booleans()):
+        n = len(head) + tau * periods
+        late = (draw(st.integers(n // 4, n - 1)), draw(st.integers(0, 9)))
+    return periodic_trace(head, pattern, periods, lag, late)
+
+
+@settings(max_examples=100, deadline=None)
+@given(periodic_traces(), st.sampled_from([1, 2, 3, 4, 8]), st.sampled_from(COLD_POLICIES))
+# key 0's reuse at 59 spans the break at 56: the tail starts after it, at 64
+@example(periodic_trace([], ["lag", 1, 1, 0], 32, 3, (56, 1)), 1, "exclude")
+def test_repeating_tail_matches_oracle(trace, block, cold):
+    config = AnalysisConfig(block_size=block, cold_policy=cold)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_PERIOD_MIN_ACCESSES", 0)
+        fast = analyze_trace(trace, config)
+        period = engine._tail_period(engine._previous(engine._block_ids(trace, block)))
+    assert fast == analyze_trace(trace, config, engine="oracle")
+    if period is not None:
+        # the verified property itself: from start on, each access has the
+        # distance, or the coldness, of the access tau before it
+        start, tau = period
+        keys = engine._block_ids(trace, block).tolist()
+        distances = [0 if d is None else d for d in engine._lru_distances(keys)]
+        assert 2 * start <= len(trace)
+        assert distances[start:] == distances[start - tau:len(trace) - tau]
+
+
+def wrong_periods(tau: int) -> list[int]:
+    return [tau - 1, tau + 1, tau // 2, 2 * tau + 1]
+
+
+@pytest.mark.parametrize("spec, b", [(GenSpec("conv", ConvParams(300, 10, 3)), 1),
+                                     (GenSpec("conv", ConvParams(300, 10, 3)), 4),
+                                     (GenSpec("matmul", MatmulParams(400, 5, 7)), 2)])
+@pytest.mark.parametrize("right_last", [False, True])
+def test_wrong_candidates_keep_the_count_exact(spec, b, right_last, monkeypatch):
+    trace = tracegen.generate(spec)
+    config = AnalysisConfig(block_size=b)
+    tau = engine._tail_period(engine._previous(engine._block_ids(trace, b)))[1]
+    proposed = wrong_periods(tau) + [tau] * right_last
+    monkeypatch.setattr(engine, "_candidates", lambda prev: proposed)
+    found = found_periods(monkeypatch)
+    assert_equal_reports(analyze_trace(trace, config), unshortened_report(trace, config), proposed)
+    # only a verified candidate is used, and none of the wrong ones verifies here
+    assert [period and period[1] for period in found] == [tau if right_last else None]
+
+
+def test_no_candidate_verifies_on_a_broken_tail(monkeypatch):
+    # conv's rows repeat with period 152 up to one late access, changed
+    trace = tracegen.generate(GenSpec("conv", ConvParams(300, 10, 3)))
+    late = len(trace) - 100
+    offsets = trace.offsets.copy()
+    offsets[late] = (offsets[late] + 1) % int(trace.objects.sizes[trace.oids[late]])
+    broken = Trace.from_columns(trace.objects, trace.oids, offsets)
+    for proposed in ([152], wrong_periods(152), [76, 304, 456]):
+        monkeypatch.setattr(engine, "_candidates", lambda prev: proposed)
+        assert engine._tail_period(engine._previous(engine._block_ids(broken, 1))) is None
+        assert_equal_reports(analyze_trace(broken), unshortened_report(broken, AnalysisConfig()), proposed)
+
+
+@pytest.mark.parametrize("b, period_rows", [(1, 1), (4, 2)])
+def test_conv_base_is_at_most_four_output_rows(b, period_rows):
+    # of 1,225,804 accesses, the engine counts a base of 19,304 or fewer
+    trace = tracegen.generate(GenSpec("conv", ConvParams(256, 256, 3)))
+    row = 254 * 19
+    start, tau = engine._tail_period(engine._previous(engine._block_ids(trace, b)))
+    assert tau == period_rows * row
+    assert start <= 4 * row
+
+
+@pytest.mark.parametrize("spec", [GenSpec("fft", FftParams(2**12)),
+                                  GenSpec("im2col", Im2colParams(48, 3)),
+                                  GenSpec("fftconv2d", FftParams(16))], ids=lambda spec: spec.algorithm)
+def test_aperiodic_traces_have_no_period(spec):
+    trace = tracegen.generate(spec)
+    assert len(trace) >= engine._PERIOD_MIN_ACCESSES
+    for b in (1, 4):
+        assert engine._tail_period(engine._previous(engine._block_ids(trace, b))) is None
