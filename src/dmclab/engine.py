@@ -44,11 +44,11 @@ distance, or the coldness, of the access tau before it.  When S <= n/2,
 of the base stand for the tail too.  Nothing about the trace is assumed:
 only the check is trusted, and without a verified period the whole column
 is counted.  The search reads the last n/16 intervals and then, per
-rejected candidate, back to its last mismatch: 0.7 ms on fft n = 2^15
-(2.2 M accesses, no period), against about 200 ms for sort and count.
+rejected candidate, back to its last mismatch: about 1 ms on fft
+n = 2^15 (2.2 M accesses, no period), whose count takes about 200 ms.
 conv n = 256 (1.2 M accesses) is counted from a base of 14,446 accesses
 at b = 1 and of 19,088 at b = 4, and its sort, search and count take
-30-36 ms instead of 138-147 ms (min of 9, 2 vCPUs).
+32-41 ms instead of 150-187 ms (min of 9 runs, 2 vCPUs).
 
 Two folds follow.  `_fold` sums one bincount per part of a counted trace
 with the parts' integer multiplicities.  `analyze_trace` applies it to a
@@ -107,8 +107,8 @@ _PERIOD_TAIL = 64
 _PERIOD_BASE = 2
 
 # the checks read the column back from its end in chunks growing to this
-# many accesses; at 2^16, large_conv_file's peak RSS read 80-82 MB instead
-# of 75.5 in 6 of 10 runs, at 2^14 in none of 6
+# many accesses; with chunks of 2^16, the benchmark's large_conv_file peak
+# RSS read 80-82 MB instead of 75.5 in 6 of 10 runs, with 2^14 in none of 16
 _PERIOD_CHUNK = 1 << 14
 
 

@@ -281,12 +281,14 @@ def test_analysis_of_a_temporary_trace_peaks_below_52_bytes_per_access(spec):
 # --- measurement from a kernel's periodic prefix ---------------------------
 
 
+def assert_equal_reports(got: DmdReport, expected: DmdReport, label) -> None:
+    for field in dataclasses.fields(DmdReport):
+        assert getattr(got, field.name) == getattr(expected, field.name), (label, field.name)
+
+
 def assert_same_report(spec: GenSpec) -> None:
     """measure(spec) equals the full trace's report, field by field."""
-    expected = analyze_trace(tracegen.generate(spec))
-    got = measure(spec)
-    for field in dataclasses.fields(DmdReport):
-        assert getattr(got, field.name) == getattr(expected, field.name), (spec, field.name)
+    assert_equal_reports(measure(spec), analyze_trace(tracegen.generate(spec)), spec)
 
 
 @st.composite
@@ -397,11 +399,6 @@ def unshortened_report(trace: Trace, config: AnalysisConfig) -> DmdReport:
     if config.cold_policy == "per_object":
         sizes = [-(-s // b) for s in compress(trace.objects.sizes.tolist(), trace._touched())]
     return engine._report(counts, len(trace), config, sizes)
-
-
-def assert_equal_reports(got: DmdReport, expected: DmdReport, label) -> None:
-    for field in dataclasses.fields(DmdReport):
-        assert getattr(got, field.name) == getattr(expected, field.name), (label, field.name)
 
 
 def found_periods(monkeypatch) -> list:
