@@ -54,12 +54,12 @@ Two folds follow.  `_fold` sums one bincount per part of a counted trace
 with the parts' integer multiplicities.  `analyze_trace` applies it to a
 verified period's base: [0, S - tau) once, and the last base period's
 residues q + 2 or q + 1 times, where n - S = q * tau + r.  `measure`
-applies it to the parts of a kernel's declared prefix
-(`tracegen.prefix_rule`), which stand for the repeated parts of a trace
-too long to generate.  Either way the sum is the full trace's histogram
-exactly.  `_report` turns a histogram into a report.  numpy is imported
-only inside the functions that analyse a trace, so the CLI's model and
-advice commands never load it.
+applies it to a kernel's declared prefix (`tracegen.prefix_rule`), whose
+outer-loop iterations stand for those of a trace too long to generate.
+Either way the sum is the full trace's histogram exactly.  `_report`
+turns a histogram into a report.  numpy is imported only inside the
+functions that analyse a trace, so the CLI's model and advice commands
+never load it.
 """
 
 from __future__ import annotations
@@ -583,13 +583,13 @@ def measure(spec: tracegen.GenSpec) -> DmdReport:
     A declared prefix is a rule of the kernel, proven by its tests rather
     than checked here, and it saves generating the full trace: a distance
     depends only on the accesses before it, and at b = 1 the prefix's keys
-    repeat exactly where the full trace's do, so each part of the prefix
-    has the distances of every part of the full trace that it stands for.
-    `_fold` sums one bincount per part with the parts' integer
-    multiplicities into the full trace's histogram, and `_report` makes
-    the same report from it.  Without a declared prefix the full trace is
-    generated, and `analyze_trace` counts a tail that it verifies to
-    repeat once.
+    repeat exactly where the full trace's do, so each part of the prefix,
+    one outer-loop iteration of the kernel's declaration, has the distances
+    of every iteration of the full trace that it stands for.  `_fold` sums
+    one bincount per part with the parts' integer multiplicities into the
+    full trace's histogram, and `_report` makes the same report from it.
+    Without a declared prefix the full trace is generated, and
+    `analyze_trace` counts a tail that it verifies to repeat once.
     """
     rule = tracegen.prefix_rule(spec)
     if rule is None:

@@ -14,28 +14,35 @@ The record keeps that evaluation as its `result` attribute, outside its
 fields, so sweeps read the model columns without evaluating it again.
 
 Every generator first allocates its two columns at the trace's exact
-length, from the count function its kernel registers, and refuses a
-length beyond physical memory (`check_memory`) before any other work.
-It then places its accesses into them a loop nest at a time (`_place`):
-the position where each iteration starts and each access's object id
-and offset are numpy expressions in the loop indices.  The recursive
-FFT generators know each call's place in the trace from its parent's,
-so they place one recursion depth at a time.  numpy is imported only
-inside the functions that build a trace, so the commands that make no
-trace never load it.
+length and refuses a length beyond physical memory (`check_memory`)
+before any other work.  It then places its accesses into them a loop
+nest at a time (`_place`): the position where each iteration starts and
+each access's object id and offset are numpy expressions in the loop
+indices.  The affine kernels are declared as loop nests, such as
+`_conv_loops`: objects as (name, size) pairs, object i having id i, and
+a body run in order, of nests, each loop extents over an inner body, and
+accesses, each a function of the enclosing loop indices to an (object
+id, offset) pair.  One interpreter (`_interpret`) counts a declaration's
+accesses by integer arithmetic and places them, each nest's iterations
+at multiples of its body's count.  The recursive FFT generators know
+each call's place in the trace from its parent's, so they place one
+recursion depth at a time.  numpy is imported only inside the functions
+that build a trace, so the commands that make no trace never load it.
 
 A kernel whose trace repeats may declare a prefix (`Kernel.prefix`): a
-smaller parameter set whose trace is the full trace's first parts, up to
-a renaming of keys, and the integer multiplicity of each part.  matmul
-repeats by row of the outer loop, conv by output row and batchconv by
-batch, so `prefix_rule` lets a measurement at b = 1 read the full
-trace's histogram from the prefix's (`engine.measure`) without
-generating the full trace.
+smaller parameter record whose trace is the full trace's first
+iterations of its outer loop, up to a renaming of keys.  matmul repeats
+by row, conv by output row and batchconv by batch.  `prefix_rule` reads
+the parts and their integer multiplicities off the two declarations, so
+a measurement at b = 1 reads the full trace's histogram from the
+prefix's (`engine.measure`) without generating the full trace.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass, fields
+from itertools import chain
 from typing import Callable, Optional
 
 from dmclab import models
@@ -105,6 +112,9 @@ class GenSpec:
     def __post_init__(self):
         if self.algorithm not in KERNELS:
             raise ValidationError(f"unknown algorithm {self.algorithm!r}")
+        if not isinstance(self.params, KERNELS[self.algorithm].params):
+            raise ValidationError(f"{self.algorithm} takes {KERNELS[self.algorithm].params.__name__}, "
+                                  f"not {type(self.params).__name__}")
 
 
 @dataclass(frozen=True)
@@ -113,32 +123,40 @@ class Kernel:
 
     params: parameter record; its fields, in order, are the generator's
       arguments and the flags `dmclab gen` reads.
-    generator, count: the trace and its exact length, from those fields;
-      the generator allocates the trace at `count`'s length.
+    generator: the trace, from those fields.
     sweep_flags: flags a sweep point takes besides the swept size n;
       a flag given as a string (batchconv's --x) is swept as a range too.
     square: (n, *sweep flag values) -> params of the square sweep point.
     model: params -> the sweep's model columns, including model_total,
       read from the record's kept `result` where its own model gives them.
-    prefix: params -> (prefix params, part lengths, multiplicities), or
-      None when nothing repeats.  The prefix trace is its parts in order,
-      of the given lengths.  The full trace is consecutive parts of the
-      same lengths, the i-th prefix part standing for multiplicities[i]
-      of them, and at b = 1 each has its prefix part's stack distances,
-      access by access.  A declared prefix is trusted, not checked: it
-      lets `engine.measure` skip generating the repeated parts, so a
-      kernel declares one only where a test shows equality.  A trace that
-      is generated anyway needs none, because `engine.analyze_trace`
-      finds and verifies a repeating tail in the trace itself.
+    loops: an affine kernel's declaration, fields -> (objects, body),
+      which its generator places (`_interpret`).
+    prefix: params -> the record of a prefix, or None when nothing
+      repeats.  The prefix's trace is the full trace's first iterations
+      of the outer loop of its declaration, and at b = 1 each has the
+      stack distances of the full trace's iterations it stands for
+      (`prefix_rule`), access by access.  A declared prefix is trusted,
+      not checked: it lets `engine.measure` skip generating the repeated
+      iterations, so a kernel declares one only where a test shows
+      equality.  A trace that is generated anyway needs none, because
+      `engine.analyze_trace` finds and verifies a repeating tail in the
+      trace itself.
+    count: the trace's exact length, from the fields, at which the
+      generator allocates it; a declared kernel's is its declaration's.
     """
 
     params: type
     generator: Callable[..., Trace]
-    count: Callable[..., int]
     sweep_flags: tuple[str, ...]
     square: Callable[..., object]
     model: Callable[[object], dict]
-    prefix: Callable[[object], Optional[tuple]] = lambda params: None
+    loops: Optional[Callable[..., tuple]] = None
+    prefix: Callable[[object], Optional[object]] = lambda params: None
+    count: Optional[Callable[..., int]] = None
+
+    def __post_init__(self):
+        if self.count is None:
+            object.__setattr__(self, "count", lambda *args: _count(self.loops(*args)[1]))
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -218,12 +236,19 @@ def access_count(spec: GenSpec) -> int:
 
 def prefix_rule(spec: GenSpec) -> Optional[tuple[GenSpec, tuple[int, ...], tuple[int, ...]]]:
     """(prefix spec, part lengths, multiplicities) of a GenSpec whose
-    kernel declares a prefix for its parameters, else None."""
-    rule = KERNELS[spec.algorithm].prefix(spec.params)
-    if rule is None:
+    kernel declares a prefix for its parameters, else None.  The parts
+    are the prefix's outer-loop iterations, in order; each stands for
+    itself but the last, which stands for every later outer-loop
+    iteration of the full trace too."""
+    kernel = KERNELS[spec.algorithm]
+    params = kernel.prefix(spec.params)
+    if params is None:
         return None
-    params, lengths, weights = rule
-    return GenSpec(spec.algorithm, params), lengths, weights
+    (loops, body), = kernel.loops(*astuple(params))[1]
+    (full, _), = kernel.loops(*astuple(spec.params))[1]
+    part = math.prod(loops[1:]) * _count(body)
+    weights = (1,) * (loops[0] - 1) + (full[0] - loops[0] + 1,)
+    return GenSpec(spec.algorithm, params), (part,) * loops[0], weights
 
 
 def generated_count(spec: GenSpec) -> int:
@@ -233,8 +258,42 @@ def generated_count(spec: GenSpec) -> int:
     return access_count(rule[0] if rule else spec)
 
 
-def _matmul_count(m: int, n: int, l: int) -> int:
-    return m * l * (2 * n + 1)
+def _count(body) -> int:
+    """The accesses in one run of a declared body, by arithmetic alone."""
+    return sum(1 if callable(item) else math.prod(item[0]) * _count(item[1]) for item in body)
+
+
+def _interpret(objects, body) -> Trace:
+    """The trace that a declaration gives: its columns allocated at the
+    declared count, its objects in order, then its body placed."""
+    b = _TraceBuilder()
+    columns = b.allocate(_count(body))
+    for name, size in objects:
+        b.new_object(name, size)
+    _emit(columns, 0, (), body)
+    return b.build()
+
+
+def _emit(columns: tuple, at, extents: tuple, body) -> None:
+    """Place `body` in every iteration of the enclosing loops `extents`,
+    from trace position `at`, an array over their iteration space.  A
+    nest's iteration t, numbered row-major over its own loops, starts t
+    times its body's count after the nest does."""
+    import numpy as np
+
+    grid = np.ix_(*map(np.arange, extents))
+    for item in body:
+        if callable(item):
+            _place(columns, at, item(*grid))
+            at = at + 1
+            continue
+        loops, inner = item
+        per = _count(inner)
+        t = 0
+        for index, extent in zip(np.ix_(*map(np.arange, extents + loops))[len(extents):], loops):
+            t = t * extent + index
+        _emit(columns, np.reshape(at, np.shape(at) + (1,) * len(loops)) + per * t, extents + loops, inner)
+        at = at + math.prod(loops) * per
 
 
 def gen_matmul(m: int, n: int, l: int) -> Trace:
@@ -243,22 +302,14 @@ def gen_matmul(m: int, n: int, l: int) -> Trace:
     Per inner iteration: read A[i][k], read B[k][j]; the running sum
     stays in a register and C[i][j] is written once per (i, j).
     """
-    import numpy as np
-
-    b = _TraceBuilder()
-    columns = b.allocate(_matmul_count(m, n, l))
-    a_obj = b.new_object("A", m * n)
-    b_obj = b.new_object("B", n * l)
-    c_obj = b.new_object("C", m * l)
-    i, j, kk = np.ogrid[:m, :l, :n]
-    product = (2 * n + 1) * (i * l + j)  # where C[i][j]'s product starts
-    _place(columns, product + 2 * kk, (a_obj, i * n + kk), (b_obj, kk * l + j))
-    _place(columns, product + 2 * n, (c_obj, i * l + j))
-    return b.build()
+    return _interpret(*_matmul_loops(m, n, l))
 
 
-def _conv_count(h: int, w: int, k: int) -> int:
-    return (h - k + 1) * (w - k + 1) * (2 * k**2 + 1)
+def _matmul_loops(m: int, n: int, l: int) -> tuple:
+    A, B, C = range(3)
+    return [("A", m * n), ("B", n * l), ("C", m * l)], [
+        ((m, l), [((n,), [lambda i, j, kk: (A, i * n + kk), lambda i, j, kk: (B, kk * l + j)]),
+                  lambda i, j: (C, i * l + j)])]
 
 
 def gen_conv(h: int, w: int, k: int) -> Trace:
@@ -267,24 +318,16 @@ def gen_conv(h: int, w: int, k: int) -> Trace:
     Windows sweep row-major; per kernel cell the kernel element is read,
     then the image element; one result write per window.
     """
-    import numpy as np
-
-    b = _TraceBuilder()
-    columns = b.allocate(_conv_count(h, w, k))
-    img = b.new_object("I", h * w)
-    ker = b.new_object("K", k * k)
-    res = b.new_object("R", (h - k + 1) * (w - k + 1))
-    out_w = w - k + 1
-    i, j, cell = np.ogrid[:h - k + 1, :out_w, :k * k]
-    y, x = divmod(cell, k)
-    window = (2 * k * k + 1) * (i * out_w + j)  # where window (i, j) starts
-    _place(columns, window + 2 * cell, (ker, cell), (img, (i + y) * w + x + j))
-    _place(columns, window + 2 * k * k, (res, i * out_w + j))
-    return b.build()
+    return _interpret(*_conv_loops(h, w, k))
 
 
-def _im2col_count(n: int, k: int) -> int:
-    return (n - k + 1) ** 2 * (4 * k**2 + 1)
+def _conv_loops(h: int, w: int, k: int) -> tuple:
+    I, K, R = range(3)
+    out_h, out_w = h - k + 1, w - k + 1
+    return [("I", h * w), ("K", k * k), ("R", out_h * out_w)], [
+        ((out_h, out_w), [((k, k), [lambda i, j, y, x: (K, y * k + x),
+                                    lambda i, j, y, x: (I, (i + y) * w + x + j)]),
+                          lambda i, j: (R, i * out_w + j)])]
 
 
 def gen_im2col(n: int, k: int) -> Trace:
@@ -296,29 +339,17 @@ def gen_im2col(n: int, k: int) -> Trace:
     with the flattened kernel, register accumulator, one write per
     output element.
     """
-    import numpy as np
-
-    b = _TraceBuilder()
-    columns = b.allocate(_im2col_count(n, k))
-    img = b.new_object("I", n * n)
-    ker = b.new_object("Kv", k * k)
-    out_n = n - k + 1
-    patches = b.new_object("R", out_n * out_n * k * k)
-    out = b.new_object("out", out_n * out_n)
-    kk = k * k
-    i, j, cell = np.ogrid[:out_n, :out_n, :kk]
-    y, x = divmod(cell, k)
-    row = i * out_n + j  # the patch row of window (i, j)
-    _place(columns, 2 * (row * kk + cell), (img, (i + y) * n + x + j), (patches, row * kk + cell))
-    row, col = np.ogrid[:out_n * out_n, :kk]
-    product = 2 * kk * out_n * out_n + (2 * kk + 1) * row  # where out[row]'s product starts
-    _place(columns, product + 2 * col, (patches, row * kk + col), (ker, col))
-    _place(columns, product + 2 * kk, (out, row))
-    return b.build()
+    return _interpret(*_im2col_loops(n, k))
 
 
-def _batched_count(n: int, k: int, c: int, x: int) -> int:
-    return c * _conv_count(n, n, k)
+def _im2col_loops(n: int, k: int) -> tuple:
+    I, KV, R, OUT = range(4)
+    m = n - k + 1
+    return [("I", n * n), ("Kv", k * k), ("R", m * m * k * k), ("out", m * m)], [
+        ((m, m, k, k), [lambda i, j, y, x: (I, (i + y) * n + x + j),
+                        lambda i, j, y, x: (R, ((i * m + j) * k + y) * k + x)]),
+        ((m * m,), [((k * k,), [lambda row, col: (R, row * k * k + col), lambda row, col: (KV, col)]),
+                    lambda row: (OUT, row)])]
 
 
 def gen_batched_conv(n: int, k: int, c: int, x: int) -> Trace:
@@ -328,22 +359,19 @@ def gen_batched_conv(n: int, k: int, c: int, x: int) -> Trace:
     into one shared result.  Loop order: batch, window, channel in
     batch, kernel cells, then one accumulate access to R per channel.
     """
-    import numpy as np
+    return _interpret(*_batchconv_loops(n, k, c, x))
 
-    b = _TraceBuilder()
-    columns = b.allocate(_batched_count(n, k, c, x))
-    imgs = [b.new_object(f"I{ch}", n * n) for ch in range(c)]
-    kers = [b.new_object(f"K{ch}", k * k) for ch in range(c)]
-    out_n = n - k + 1
-    res = b.new_object("R", out_n * out_n)
-    batch, i, j, lane, cell = np.ogrid[:c // x, :out_n, :out_n, :x, :k * k]
-    ch = batch * x + lane
-    y, xx = divmod(cell, k)
-    # where channel ch's pass over window (i, j) starts
-    window = (2 * k * k + 1) * (((batch * out_n + i) * out_n + j) * x + lane)
-    _place(columns, window + 2 * cell, (kers[0] + ch, cell), (imgs[0] + ch, (i + y) * n + xx + j))
-    _place(columns, window + 2 * k * k, (res, i * out_n + j))
-    return b.build()
+
+def _batchconv_loops(n: int, k: int, c: int, x: int) -> tuple:
+    I, K, R = 0, c, 2 * c  # channel ch's image and kernel are I + ch and K + ch
+    m = n - k + 1
+    # lazy: counting names none of the 2c channel objects
+    objects = chain(((f"I{ch}", n * n) for ch in range(c)),
+                    ((f"K{ch}", k * k) for ch in range(c)), [("R", m * m)])
+    return objects, [
+        ((c // x, m, m, x), [((k, k), [lambda b, i, j, lane, y, xx: (K + b * x + lane, y * k + xx),
+                                       lambda b, i, j, lane, y, xx: (I + b * x + lane, (i + y) * n + xx + j)]),
+                             lambda b, i, j, lane: (R, i * m + j)])]
 
 
 def _fft_access_count(n: int) -> int:
@@ -484,30 +512,6 @@ def gen_fft_conv2d(n: int) -> Trace:
 # --- kernel registry --------------------------------------------------------
 
 
-def _matmul_prefix(p: MatmulParams) -> Optional[tuple]:
-    # rows 1 ... m-1 of the outer loop repeat row 1's distances
-    if p.m <= 2:
-        return None
-    row = _matmul_count(1, p.n, p.l)
-    return MatmulParams(2, p.n, p.l), (row, row), (1, p.m - 1)
-
-
-def _conv_prefix(p: ConvParams) -> Optional[tuple]:
-    # output rows 2 ... h-k repeat row 2's distances
-    if p.h - p.k + 1 <= 3:
-        return None
-    row = _conv_count(p.k, p.w, p.k)
-    return ConvParams(p.k + 2, p.w, p.k), (row, row, row), (1, 1, p.h - p.k - 1)
-
-
-def _batched_prefix(p: BatchParams) -> Optional[tuple]:
-    # batches 1 ... c/x-1 repeat batch 1's distances
-    if p.c // p.x <= 2:
-        return None
-    batch = _batched_count(p.n, p.k, p.x, p.x)
-    return BatchParams(p.n, p.k, 2 * p.x, p.x), (batch, batch), (1, p.c // p.x - 1)
-
-
 def _fft_columns(p: FftParams) -> dict:
     lower, upper = p.result
     return {"model_lower": lower, "model_upper": upper, "model_total": lower}
@@ -515,32 +519,27 @@ def _fft_columns(p: FftParams) -> dict:
 
 KERNELS = {
     "matmul": Kernel(
-        MatmulParams, gen_matmul, _matmul_count,
-        (), lambda n: MatmulParams(n, n, n),
+        MatmulParams, gen_matmul, (), lambda n: MatmulParams(n, n, n),
         lambda p: {"model_total": p.result},
-        _matmul_prefix),
+        _matmul_loops, lambda p: MatmulParams(2, p.n, p.l) if p.m > 2 else None),
     "conv": Kernel(
-        ConvParams, gen_conv, _conv_count,
-        ("k",), lambda n, k: ConvParams(n, n, k),
+        ConvParams, gen_conv, ("k",), lambda n, k: ConvParams(n, n, k),
         lambda p: {"model_total": p.result.total, "model_asymptotic": p.result.asymptotic},
-        _conv_prefix),
+        _conv_loops, lambda p: ConvParams(p.k + 2, p.w, p.k) if p.h - p.k + 1 > 3 else None),
     "im2col": Kernel(
-        Im2colParams, gen_im2col, _im2col_count,
-        ("k",), Im2colParams,
-        lambda p: {"model_total": p.result.total}),
-    "batchconv": Kernel(
-        BatchParams, gen_batched_conv, _batched_count,
-        ("k", "c", "x"), BatchParams,
+        Im2colParams, gen_im2col, ("k",), Im2colParams,
         lambda p: {"model_total": p.result.total},
-        _batched_prefix),
+        _im2col_loops),
+    "batchconv": Kernel(
+        BatchParams, gen_batched_conv, ("k", "c", "x"), BatchParams,
+        lambda p: {"model_total": p.result.total},
+        _batchconv_loops, lambda p: BatchParams(p.n, p.k, 2 * p.x, p.x) if p.c // p.x > 2 else None),
     "fft": Kernel(
-        FftParams, gen_fft, _fft_access_count,
-        (), FftParams,
-        _fft_columns),
+        FftParams, gen_fft, (), FftParams,
+        _fft_columns, count=_fft_access_count),
     "fftconv2d": Kernel(
-        FftParams, gen_fft_conv2d, _fftconv2d_count,
-        (), FftParams,
-        lambda p: {"model_total": models.model_fftconv_lower(p.n)}),
+        FftParams, gen_fft_conv2d, (), FftParams,
+        lambda p: {"model_total": models.model_fftconv_lower(p.n)}, count=_fftconv2d_count),
 }
 
 ALGORITHMS = tuple(KERNELS)

@@ -346,6 +346,45 @@ def test_prefix_parts_cover_prefix_and_full_trace():
         assert sum(lengths) == tracegen.access_count(prefix) == len(tracegen.generate(prefix))
         assert sum(l * w for l, w in zip(lengths, weights)) == tracegen.access_count(spec)
         assert tracegen.generated_count(spec) == sum(lengths)
+    for (alg, values), pin in PREFIX_PINS.items():
+        spec = GenSpec(alg, KERNELS[alg].params(*values))
+        rule = tracegen.prefix_rule(spec)
+        assert (rule and (dataclasses.astuple(rule[0].params), *rule[1:])) == pin, spec
+
+
+# (prefix params, part lengths, multiplicities) around each kernel's
+# threshold: matmul's m, conv's output rows, batchconv's batches
+PREFIX_PINS = {
+    ("matmul", (1, 5, 4)): None,
+    ("matmul", (2, 5, 4)): None,
+    ("matmul", (3, 5, 4)): ((2, 5, 4), (44, 44), (1, 2)),
+    ("matmul", (4, 5, 4)): ((2, 5, 4), (44, 44), (1, 3)),
+    ("matmul", (9, 5, 4)): ((2, 5, 4), (44, 44), (1, 8)),
+    ("conv", (2, 4, 1)): None,
+    ("conv", (3, 4, 1)): None,
+    ("conv", (4, 4, 1)): ((3, 4, 1), (12, 12, 12), (1, 1, 2)),
+    ("conv", (5, 4, 1)): ((3, 4, 1), (12, 12, 12), (1, 1, 3)),
+    ("conv", (3, 5, 2)): None,
+    ("conv", (4, 5, 2)): None,
+    ("conv", (5, 5, 2)): ((4, 5, 2), (36, 36, 36), (1, 1, 2)),
+    ("conv", (6, 5, 2)): ((4, 5, 2), (36, 36, 36), (1, 1, 3)),
+    ("conv", (4, 6, 3)): None,
+    ("conv", (5, 6, 3)): None,
+    ("conv", (6, 6, 3)): ((5, 6, 3), (76, 76, 76), (1, 1, 2)),
+    ("conv", (7, 6, 3)): ((5, 6, 3), (76, 76, 76), (1, 1, 3)),
+    ("conv", (6, 8, 5)): None,
+    ("conv", (7, 8, 5)): None,
+    ("conv", (8, 8, 5)): ((7, 8, 5), (204, 204, 204), (1, 1, 2)),
+    ("conv", (9, 8, 5)): ((7, 8, 5), (204, 204, 204), (1, 1, 3)),
+    ("batchconv", (5, 2, 1, 1)): None,
+    ("batchconv", (5, 2, 2, 1)): None,
+    ("batchconv", (5, 2, 3, 1)): ((5, 2, 2, 1), (144, 144), (1, 2)),
+    ("batchconv", (5, 2, 4, 1)): ((5, 2, 2, 1), (144, 144), (1, 3)),
+    ("batchconv", (5, 2, 2, 2)): None,
+    ("batchconv", (5, 2, 4, 2)): None,
+    ("batchconv", (5, 2, 6, 2)): ((5, 2, 4, 2), (288, 288), (1, 2)),
+    ("batchconv", (5, 2, 8, 2)): ((5, 2, 4, 2), (288, 288), (1, 3)),
+}
 
 
 def test_prefix_declared_only_where_a_part_repeats():

@@ -83,6 +83,11 @@ def test_known_access_counts():
     assert access_count(GenSpec("conv", ConvParams(4, 4, 2))) == 81
     assert access_count(GenSpec("im2col", Im2colParams(2, 2))) == 17
     assert access_count(GenSpec("fft", FftParams(16))) == 304
+    # counts no trace could hold: exact ints, from arithmetic alone
+    huge = access_count(GenSpec("matmul", MatmulParams(1, 10**200, 2)))
+    assert type(huge) is int and huge == 4 * 10**200 + 2
+    channels = access_count(GenSpec("batchconv", BatchParams(3, 1, 2**62, 1)))
+    assert type(channels) is int and channels == 27 * 2**62
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.algorithm)
@@ -108,6 +113,8 @@ def test_parameter_validation():
         generate(GenSpec("batchconv", BatchParams(5, 2, 6, 4)))
     with pytest.raises(ValidationError):
         generate(GenSpec("sort", MatmulParams(1, 1, 1)))
+    with pytest.raises(ValidationError, match="MatmulParams"):
+        GenSpec("conv", MatmulParams(2, 5, 5))
 
 
 def test_matmul_access_order():
