@@ -330,7 +330,8 @@ def _sweep_points(args) -> tuple[list[dict], list[str]]:
                     f"sweep point {point} needs {count} accesses "
                     f"(> {SWEEP_ACCESS_BUDGET}); pass --force to run it"
                 )
-            tracegen.check_memory(tracegen.generated_count(spec), ANALYSIS_BYTES)
+            rule = tracegen.prefix_rule(spec)
+            tracegen.check_memory(tracegen.access_count(rule[0] if rule else spec), ANALYSIS_BYTES)
         for row, spec in zip(rows, specs):
             row["measured"] = measure(spec).reuse_dmd
             total = row["model_total"]

@@ -193,14 +193,9 @@ class Trace:
 
     __slots__ = ("objects", "oids", "offsets")
 
-    def __init__(
-        self,
-        objects: Sequence[DataObject],
-        accesses: Iterable[tuple[int, int]],
-        validate: bool = True,
-    ):
+    def __init__(self, objects: Sequence[DataObject], accesses: Iterable[tuple[int, int]]):
         pairs = accesses if isinstance(accesses, (list, tuple)) else list(accesses)
-        self._init(objects, [oid for oid, _ in pairs], [off for _, off in pairs], validate)
+        self._init(objects, [oid for oid, _ in pairs], [off for _, off in pairs], True)
 
     @classmethod
     def from_columns(
@@ -374,12 +369,12 @@ class DmdReport:
     n_cold: int
     histogram: Mapping[int, int] = field(default_factory=dict)
 
-    def check(self, rel_tol: float = 1e-9) -> None:
+    def check(self) -> None:
         """Raise if the report is self-inconsistent."""
         if self.n_accesses != self.n_cold + sum(self.histogram.values()):
             raise ValidationError("n_accesses must equal n_cold + histogram total")
         expected = math.fsum(c * math.sqrt(d) for d, c in self.histogram.items())
-        if not math.isclose(self.reuse_dmd, expected, rel_tol=rel_tol, abs_tol=1e-12):
+        if not math.isclose(self.reuse_dmd, expected, rel_tol=1e-9, abs_tol=1e-12):
             raise ValidationError("reuse_dmd disagrees with histogram")
 
     def to_json_dict(self) -> dict:

@@ -50,13 +50,13 @@ conv n = 256 (1.2 M accesses) is counted from a base of 14,446 accesses
 at b = 1 and of 19,088 at b = 4, and its sort, search and count take
 32-41 ms instead of 150-187 ms (min of 9 runs, 2 vCPUs).
 
-Two folds follow.  `_fold` sums one bincount per part of a counted trace
-with the parts' integer multiplicities.  `analyze_trace` applies it to a
-verified period's base: [0, S - tau) once, and the last base period's
-residues q + 2 or q + 1 times, where n - S = q * tau + r.  `measure`
-applies it to a kernel's declared prefix (`tracegen.prefix_rule`), whose
-outer-loop iterations stand for those of a trace too long to generate.
-Either way the sum is the full trace's histogram exactly.  `_report`
+One fold follows.  `_fold_tail` counts a base of S accesses whose last
+tau stand for the rest of n: with n - S = q * tau + r, the first r of
+those count q + 2 times and the others q + 1.  `analyze_trace` folds a
+verified period so, and `measure` a kernel's declared one
+(`tracegen.prefix_rule`): the last outer-loop iteration of a prefix,
+standing for those of a trace too long to generate.  Either way the
+sum is the full trace's histogram exactly.  `_report`
 turns a histogram into a report.  numpy is imported only inside the
 functions that analyse a trace, so the CLI's model and advice commands
 never load it.
@@ -414,21 +414,20 @@ def _tail_period(prev: np.ndarray) -> Optional[tuple[int, int]]:
     return None
 
 
-def _fold(reuse: np.ndarray, distances: np.ndarray, lengths: Iterable[int],
-          weights: Iterable[int]) -> np.ndarray:
-    """The histogram that a trace's reuses have when its parts, of
-    `lengths` accesses in order, stand for weights[i] parts each with the
-    same distances: one bincount per part, summed with the weights."""
+def _fold_tail(reuse: np.ndarray, distances: np.ndarray, n: int, tau: int) -> np.ndarray:
+    """The histogram of n accesses whose first len(reuse), with these
+    reuses' distances, are counted and whose later ones repeat the last
+    tau of those: with n - len(reuse) = q * tau + r, the first r of the
+    last tau count q + 2 times and the others q + 1."""
     import numpy as np
 
-    reuses = np.cumsum(reuse)  # the reuses up to each access
+    head = len(reuse) - tau
+    q, r = divmod(n - len(reuse), tau)
+    once, cut = np.count_nonzero(reuse[:head]), np.count_nonzero(reuse[:head + r])
     size = int(distances.max(initial=0)) + 1
-    counts = np.zeros(size, dtype=np.int64)
-    start = 0
-    for end, weight in zip(np.cumsum(lengths).tolist(), weights):
-        stop = int(reuses[end - 1]) if end else 0
-        counts += weight * np.bincount(distances[start:stop], minlength=size)
-        start = stop
+    counts = np.bincount(distances[:once], minlength=size)
+    counts += (q + 2) * np.bincount(distances[once:cut], minlength=size)
+    counts += (q + 1) * np.bincount(distances[cut:], minlength=size)
     return counts
 
 
@@ -563,11 +562,9 @@ def analyze_trace(
         if period is None:
             counts = np.bincount(_dominance(prev.pop())[1])
         else:
-            # count the base [0, start) only: its last period's residues
-            # stand for the tail's n - start = q * tau + r accesses too
+            # count the base [0, start) only: its last period stands for the tail
             start, tau = period
-            q, r = divmod(n_accesses - start, tau)
-            counts = _fold(*_dominance(prev.pop()[:start]), (start - tau, r, tau - r), (1, q + 2, q + 1))
+            counts = _fold_tail(*_dominance(prev.pop()[:start]), n_accesses, tau)
     report = _report(counts, n_accesses, config, touched_sizes)
     report.check()
     if config.granularity_bits > 1:
@@ -583,22 +580,22 @@ def measure(spec: tracegen.GenSpec) -> DmdReport:
     A declared prefix is a rule of the kernel, proven by its tests rather
     than checked here, and it saves generating the full trace: a distance
     depends only on the accesses before it, and at b = 1 the prefix's keys
-    repeat exactly where the full trace's do, so each part of the prefix,
-    one outer-loop iteration of the kernel's declaration, has the distances
-    of every iteration of the full trace that it stands for.  `_fold` sums
-    one bincount per part with the parts' integer multiplicities into the
-    full trace's histogram, and `_report` makes the same report from it.
+    repeat exactly where the full trace's do, so the prefix's last
+    outer-loop iteration, tau accesses, has the distances of every later
+    iteration of the full trace.  `_fold_tail` counts the prefix's
+    histogram with that period as it counts a verified one, and `_report`
+    makes the same report from it.
     Without a declared prefix the full trace is generated, and
     `analyze_trace` counts a tail that it verifies to repeat once.
     """
     rule = tracegen.prefix_rule(spec)
     if rule is None:
         return analyze_trace(tracegen.generate(spec))
-    prefix, lengths, weights = rule
+    prefix, tau = rule
     n_accesses = tracegen.access_count(spec)
     if n_accesses >= 2**63:
         raise ValidationError(f"the trace has {n_accesses} accesses; a report counts fewer than 2**63")
-    counts = _fold(*_reuse_distances(_block_ids(tracegen.generate(prefix), 1)), lengths, weights)
+    counts = _fold_tail(*_reuse_distances(_block_ids(tracegen.generate(prefix), 1)), n_accesses, tau)
     report = _report(counts, n_accesses, AnalysisConfig(), ())
     report.check()
     return report

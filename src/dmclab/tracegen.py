@@ -33,15 +33,16 @@ A kernel whose trace repeats may declare a prefix (`Kernel.prefix`): a
 smaller parameter record whose trace is the full trace's first
 iterations of its outer loop, up to a renaming of keys.  matmul repeats
 by row, conv by output row and batchconv by batch.  `prefix_rule` reads
-the parts and their integer multiplicities off the two declarations, so
-a measurement at b = 1 reads the full trace's histogram from the
-prefix's (`engine.measure`) without generating the full trace.
+its period, one outer-loop iteration, off the prefix's declaration, so a
+measurement at b = 1 folds the prefix's histogram into the full trace's
+as it folds a verified repeating tail (`engine.measure`), without
+generating the full trace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Callable, Optional
 
@@ -133,14 +134,14 @@ class Kernel:
       which its generator places (`_interpret`).
     prefix: params -> the record of a prefix, or None when nothing
       repeats.  The prefix's trace is the full trace's first iterations
-      of the outer loop of its declaration, and at b = 1 each has the
-      stack distances of the full trace's iterations it stands for
-      (`prefix_rule`), access by access.  A declared prefix is trusted,
-      not checked: it lets `engine.measure` skip generating the repeated
-      iterations, so a kernel declares one only where a test shows
-      equality.  A trace that is generated anyway needs none, because
-      `engine.analyze_trace` finds and verifies a repeating tail in the
-      trace itself.
+      of the outer loop of its declaration, and at b = 1 its last one has
+      the stack distances of every later iteration of the full trace,
+      access by access: a declared period (`prefix_rule`), folded as a
+      verified one is.  A declared prefix is trusted, not checked: it lets
+      `engine.measure` skip generating the repeated iterations, so a
+      kernel declares one only where a test shows equality.  A trace that
+      is generated anyway needs none, because `engine.analyze_trace`
+      finds and verifies a repeating tail in the trace itself.
     count: the trace's exact length, from the fields, at which the
       generator allocates it; a declared kernel's is its declaration's.
     """
@@ -224,38 +225,32 @@ def _place(columns: tuple, at, *body) -> None:
             column[where] = values
 
 
+def _values(params) -> list:
+    """A record's fields in order, read without astuple's deep copy."""
+    return [getattr(params, f.name) for f in fields(params)]
+
+
 def generate(spec: GenSpec) -> Trace:
     """Dispatch a GenSpec to its kernel's generator."""
-    return KERNELS[spec.algorithm].generator(*astuple(spec.params))
+    return KERNELS[spec.algorithm].generator(*_values(spec.params))
 
 
 def access_count(spec: GenSpec) -> int:
     """Exact trace length for a GenSpec, without generating it."""
-    return KERNELS[spec.algorithm].count(*astuple(spec.params))
+    return KERNELS[spec.algorithm].count(*_values(spec.params))
 
 
-def prefix_rule(spec: GenSpec) -> Optional[tuple[GenSpec, tuple[int, ...], tuple[int, ...]]]:
-    """(prefix spec, part lengths, multiplicities) of a GenSpec whose
-    kernel declares a prefix for its parameters, else None.  The parts
-    are the prefix's outer-loop iterations, in order; each stands for
-    itself but the last, which stands for every later outer-loop
-    iteration of the full trace too."""
+def prefix_rule(spec: GenSpec) -> Optional[tuple[GenSpec, int]]:
+    """(prefix spec, tau) of a GenSpec whose kernel declares a prefix for
+    its parameters, else None: tau is the length of one outer-loop
+    iteration of the prefix's declaration, the last of which stands for
+    every later one of the full trace."""
     kernel = KERNELS[spec.algorithm]
     params = kernel.prefix(spec.params)
     if params is None:
         return None
-    (loops, body), = kernel.loops(*astuple(params))[1]
-    (full, _), = kernel.loops(*astuple(spec.params))[1]
-    part = math.prod(loops[1:]) * _count(body)
-    weights = (1,) * (loops[0] - 1) + (full[0] - loops[0] + 1,)
-    return GenSpec(spec.algorithm, params), (part,) * loops[0], weights
-
-
-def generated_count(spec: GenSpec) -> int:
-    """Length of the trace that measuring a GenSpec generates: its
-    prefix's where its kernel declares one."""
-    rule = prefix_rule(spec)
-    return access_count(rule[0] if rule else spec)
+    (loops, body), = kernel.loops(*_values(params))[1]
+    return GenSpec(spec.algorithm, params), math.prod(loops[1:]) * _count(body)
 
 
 def _count(body) -> int:

@@ -185,7 +185,7 @@ WRITER_VALUES = INT64 | st.integers(-1000, 1000) | st.sampled_from(WRITER_EDGES)
 @example([(-(2**63), 2**63 - 1), (-1, 0)], 1)
 def test_written_access_lines_match_percent_formatting(accesses, write_accesses):
     # the writer spells whatever the columns hold, valid trace or not
-    trace = Trace([], accesses, validate=False)
+    trace = Trace.from_columns([], [oid for oid, _ in accesses], [off for _, off in accesses], validate=False)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.dmt"
         with mock.patch.object(core, "DMT_WRITE_ACCESSES", write_accesses):

@@ -342,18 +342,31 @@ def test_prefix_parts_cover_prefix_and_full_trace():
     specs += [GenSpec("batchconv", BatchParams(n, k, c, x)) for n, k in ((3, 1), (7, 3))
               for c, x in ((3, 1), (8, 2), (12, 3))]
     for spec in specs:
-        prefix, lengths, weights = tracegen.prefix_rule(spec)
+        prefix, _ = tracegen.prefix_rule(spec)
+        _, lengths, weights = prefix_parts(spec)
         assert sum(lengths) == tracegen.access_count(prefix) == len(tracegen.generate(prefix))
         assert sum(l * w for l, w in zip(lengths, weights)) == tracegen.access_count(spec)
-        assert tracegen.generated_count(spec) == sum(lengths)
     for (alg, values), pin in PREFIX_PINS.items():
         spec = GenSpec(alg, KERNELS[alg].params(*values))
-        rule = tracegen.prefix_rule(spec)
-        assert (rule and (dataclasses.astuple(rule[0].params), *rule[1:])) == pin, spec
+        assert prefix_parts(spec) == pin, spec
 
 
-# (prefix params, part lengths, multiplicities) around each kernel's
-# threshold: matmul's m, conv's output rows, batchconv's batches
+def prefix_parts(spec: GenSpec):
+    """(prefix params, part lengths, multiplicities) of a declared prefix,
+    or None: one part of tau accesses per outer-loop iteration of the
+    prefix, its last standing for every later one of the full trace."""
+    rule = tracegen.prefix_rule(spec)
+    if rule is None:
+        return None
+    prefix, tau = rule
+    parts, rest = divmod(tracegen.access_count(prefix), tau)
+    full, tail = divmod(tracegen.access_count(spec), tau)
+    assert rest == tail == 0, spec
+    return dataclasses.astuple(prefix.params), (tau,) * parts, (1,) * (parts - 1) + (full - parts + 1,)
+
+
+# prefix_parts around each kernel's threshold: matmul's m, conv's output
+# rows, batchconv's batches
 PREFIX_PINS = {
     ("matmul", (1, 5, 4)): None,
     ("matmul", (2, 5, 4)): None,
@@ -391,7 +404,22 @@ def test_prefix_declared_only_where_a_part_repeats():
     assert tracegen.prefix_rule(GenSpec("matmul", MatmulParams(2, 5, 5))) is None
     assert tracegen.prefix_rule(GenSpec("conv", ConvParams(5, 9, 3))) is None
     assert tracegen.prefix_rule(GenSpec("batchconv", BatchParams(5, 3, 4, 2))) is None
-    assert tracegen.prefix_rule(GenSpec("conv", ConvParams(6, 9, 3)))[2] == (1, 1, 2)
+    assert prefix_parts(GenSpec("conv", ConvParams(6, 9, 3)))[2] == (1, 1, 2)
+
+
+@pytest.mark.parametrize("spec", [
+    *[GenSpec("conv", ConvParams(n, n, 3)) for n in (32, 48, 64)],
+    *[GenSpec("conv", ConvParams(100, 100, k)) for k in (1, 2, 5)],
+    *[GenSpec("matmul", MatmulParams(n, n, n)) for n in (20, 32, 48)],
+], ids=lambda spec: "-".join(map(str, [spec.algorithm, *dataclasses.astuple(spec.params)])))
+def test_declared_period_is_a_multiple_of_the_verified_one(spec):
+    # conv's verified period is one output row at k >= 2 and one window at
+    # k = 1, matmul's one row; the check is sufficient, not necessary, so
+    # matmul's verified start lies about a row past the declared prefix
+    _, tau = tracegen.prefix_rule(spec)
+    period = engine._tail_period(engine._previous(engine._block_ids(tracegen.generate(spec), 1)))
+    assert period is not None
+    assert tau % period[1] == 0, (tau, period)
 
 
 @pytest.mark.parametrize("spec", [
