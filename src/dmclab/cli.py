@@ -300,6 +300,8 @@ def _gqa_rows(args) -> tuple[list[dict], list[str]]:
 
 def _sweep_points(args) -> tuple[list[dict], list[str]]:
     if args.alg == "gqa":
+        if args.mode != "model":
+            raise ValidationError("gqa has no trace to measure; sweep it with --model")
         return _gqa_rows(args)
     kernel = tracegen.KERNELS[args.alg]
     n_values = _parse_range(_need(args, "n")["n"])

@@ -107,8 +107,8 @@ _PERIOD_TAIL = 64
 _PERIOD_BASE = 2
 
 # the checks read the column back from its end in chunks growing to this
-# many accesses; with chunks of 2^16, the benchmark's large_conv_file peak
-# RSS read 80-82 MB instead of 75.5 in 6 of 10 runs, with 2^14 in none of 16
+# many accesses, which bounds their temporaries; large_conv_file's peak RSS
+# modes (80-86 MB against 71.5) follow start-up heap state, not this value
 _PERIOD_CHUNK = 1 << 14
 
 

@@ -13,21 +13,22 @@ Every record that exists is valid, so generators trust their arguments.
 The record keeps that evaluation as its `result` attribute, outside its
 fields, so sweeps read the model columns without evaluating it again.
 
-Every generator first allocates its two columns at the trace's exact
-length and refuses a length beyond physical memory (`check_memory`)
-before any other work.  It then places its accesses into them a loop
-nest at a time (`_place`): the position where each iteration starts and
-each access's object id and offset are numpy expressions in the loop
-indices.  The affine kernels are declared as loop nests, such as
-`_conv_loops`: objects as (name, size) pairs, object i having id i, and
-a body run in order, of nests, each loop extents over an inner body, and
-accesses, each a function of the enclosing loop indices to an (object
-id, offset) pair.  One interpreter (`_interpret`) counts a declaration's
-accesses by integer arithmetic and places them, each nest's iterations
-at multiples of its body's count.  The recursive FFT generators know
-each call's place in the trace from its parent's, so they place one
-recursion depth at a time.  numpy is imported only inside the functions
-that build a trace, so the commands that make no trace never load it.
+Every generator allocates its two columns at the trace's exact length
+first (`_allocate`, which refuses a length beyond physical memory), then
+places its accesses into them a loop nest at a time (`_place`: where
+each iteration starts and each access's object id and offset are numpy
+expressions in the loop indices), and hands them with its objects' name
+and size lists, object i having id i, to the trace (`_build`).  The
+affine kernels are declared as loop nests, such as `_conv_loops`:
+objects as (name, size) pairs and a body run in order, of nests, each
+loop extents over an inner body, and accesses, each a function of the
+enclosing loop indices to an (object id, offset) pair.  Their generator
+is one interpreter (`_interpret`), which counts a declaration's accesses
+by integer arithmetic and places them, each nest's iterations at
+multiples of its body's count.  The recursive FFT generators know each
+call's place in the trace from its parent's, so they place one recursion
+depth at a time.  numpy is imported only inside the functions that
+build a trace, so the commands that make no trace never load it.
 
 A kernel whose trace repeats may declare a prefix (`Kernel.prefix`): a
 smaller parameter record whose trace is the full trace's first
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from dmclab import models
 from dmclab.core import ACCESS_BYTES, ObjectTable, Trace, ValidationError, physical_memory
@@ -124,14 +125,13 @@ class Kernel:
 
     params: parameter record; its fields, in order, are the generator's
       arguments and the flags `dmclab gen` reads.
-    generator: the trace, from those fields.
     sweep_flags: flags a sweep point takes besides the swept size n;
       a flag given as a string (batchconv's --x) is swept as a range too.
     square: (n, *sweep flag values) -> params of the square sweep point.
     model: params -> the sweep's model columns, including model_total,
       read from the record's kept `result` where its own model gives them.
     loops: an affine kernel's declaration, fields -> (objects, body),
-      which its generator places (`_interpret`).
+      from which its generator and count follow (`_interpret`, `_count`).
     prefix: params -> the record of a prefix, or None when nothing
       repeats.  The prefix's trace is the full trace's first iterations
       of the outer loop of its declaration, and at b = 1 its last one has
@@ -142,21 +142,23 @@ class Kernel:
       kernel declares one only where a test shows equality.  A trace that
       is generated anyway needs none, because `engine.analyze_trace`
       finds and verifies a repeating tail in the trace itself.
-    count: the trace's exact length, from the fields, at which the
-      generator allocates it; a declared kernel's is its declaration's.
+    generator, count: the trace, from the fields, and its exact length,
+      at which the generator allocates it.  Only a kernel that is not
+      declared as loops (the FFTs) gives them.
     """
 
     params: type
-    generator: Callable[..., Trace]
     sweep_flags: tuple[str, ...]
     square: Callable[..., object]
     model: Callable[[object], dict]
     loops: Optional[Callable[..., tuple]] = None
     prefix: Callable[[object], Optional[object]] = lambda params: None
+    generator: Optional[Callable[..., Trace]] = None
     count: Optional[Callable[..., int]] = None
 
     def __post_init__(self):
-        if self.count is None:
+        if self.loops is not None:
+            object.__setattr__(self, "generator", lambda *args: _interpret(*self.loops(*args)))
             object.__setattr__(self, "count", lambda *args: _count(self.loops(*args)[1]))
 
     @property
@@ -174,42 +176,23 @@ def check_memory(count: int, per_access: int = ACCESS_BYTES) -> None:
         )
 
 
-class _TraceBuilder:
-    """Object columns and access columns of a trace under construction.
+def _allocate(count: int) -> tuple:
+    """A `count`-access trace's two columns, uninitialised int64 arrays for a
+    generator to place every access in; raises beyond `physical_memory()`."""
+    import numpy as np
 
-    A generator first `allocate`s the access columns at the trace's exact
-    length, from its kernel's count function, then declares its objects
-    and `_place`s every access into the columns, one loop nest per call.
-    `build` hands the columns to the trace, which takes them over.
-    """
+    check_memory(count)
+    return np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
 
-    def __init__(self):
-        # object i has id i
-        self.names: list[str] = []
-        self.sizes: list[int] = []
 
-    def new_object(self, name: str, size: int) -> int:
-        self.names.append(name)
-        self.sizes.append(size)
-        return len(self.names) - 1
+def _build(names: Sequence[str], sizes: Sequence[int], columns: tuple) -> Trace:
+    """The trace over `columns`, which it takes over, whose object i has
+    id i, name `names[i]` and size `sizes[i]`."""
+    import numpy as np
 
-    def allocate(self, count: int) -> tuple:
-        """Make the columns `count` accesses long, uninitialised, and
-        return them as numpy arrays, for the generator to place every
-        access.  Raises if they need more than `physical_memory()`."""
-        import numpy as np
-
-        check_memory(count)
-        self.columns = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
-        return self.columns
-
-    def build(self) -> Trace:
-        import numpy as np
-
-        ids = np.arange(len(self.names), dtype=np.int64)
-        # generators index within declared bounds by construction
-        return Trace.from_columns(ObjectTable(ids, self.names, self.sizes),
-                                  *self.columns, validate=False)
+    ids = np.arange(len(names), dtype=np.int64)
+    # generators index within declared bounds by construction
+    return Trace.from_columns(ObjectTable(ids, names, sizes), *columns, validate=False)
 
 
 def _place(columns: tuple, at, *body) -> None:
@@ -261,12 +244,10 @@ def _count(body) -> int:
 def _interpret(objects, body) -> Trace:
     """The trace that a declaration gives: its columns allocated at the
     declared count, its objects in order, then its body placed."""
-    b = _TraceBuilder()
-    columns = b.allocate(_count(body))
-    for name, size in objects:
-        b.new_object(name, size)
+    columns = _allocate(_count(body))
+    names, sizes = zip(*objects)
     _emit(columns, 0, (), body)
-    return b.build()
+    return _build(names, sizes, columns)
 
 
 def _emit(columns: tuple, at, extents: tuple, body) -> None:
@@ -291,32 +272,24 @@ def _emit(columns: tuple, at, extents: tuple, body) -> None:
         at = at + math.prod(loops) * per
 
 
-def gen_matmul(m: int, n: int, l: int) -> Trace:
+def _matmul_loops(m: int, n: int, l: int) -> tuple:
     """Naive triple-loop product of an m*n matrix with an n*l matrix.
 
     Per inner iteration: read A[i][k], read B[k][j]; the running sum
     stays in a register and C[i][j] is written once per (i, j).
     """
-    return _interpret(*_matmul_loops(m, n, l))
-
-
-def _matmul_loops(m: int, n: int, l: int) -> tuple:
     A, B, C = range(3)
     return [("A", m * n), ("B", n * l), ("C", m * l)], [
         ((m, l), [((n,), [lambda i, j, kk: (A, i * n + kk), lambda i, j, kk: (B, kk * l + j)]),
                   lambda i, j: (C, i * l + j)])]
 
 
-def gen_conv(h: int, w: int, k: int) -> Trace:
+def _conv_loops(h: int, w: int, k: int) -> tuple:
     """Naive valid convolution of an h*w image with a k*k kernel.
 
     Windows sweep row-major; per kernel cell the kernel element is read,
     then the image element; one result write per window.
     """
-    return _interpret(*_conv_loops(h, w, k))
-
-
-def _conv_loops(h: int, w: int, k: int) -> tuple:
     I, K, R = range(3)
     out_h, out_w = h - k + 1, w - k + 1
     return [("I", h * w), ("K", k * k), ("R", out_h * out_w)], [
@@ -325,7 +298,12 @@ def _conv_loops(h: int, w: int, k: int) -> tuple:
                           lambda i, j: (R, i * out_w + j)])]
 
 
-def gen_im2col(n: int, k: int) -> Trace:
+def gen_conv(h: int, w: int, k: int) -> Trace:
+    """conv's trace (`_conv_loops`), by the name the benchmark's selftest calls."""
+    return _interpret(*_conv_loops(h, w, k))
+
+
+def _im2col_loops(n: int, k: int) -> tuple:
     """im2col lowering of an n*n convolution with a k*k kernel.
 
     Copy phase: each window's elements are copied into one row of the
@@ -334,10 +312,6 @@ def gen_im2col(n: int, k: int) -> Trace:
     with the flattened kernel, register accumulator, one write per
     output element.
     """
-    return _interpret(*_im2col_loops(n, k))
-
-
-def _im2col_loops(n: int, k: int) -> tuple:
     I, KV, R, OUT = range(4)
     m = n - k + 1
     return [("I", n * n), ("Kv", k * k), ("R", m * m * k * k), ("out", m * m)], [
@@ -347,17 +321,13 @@ def _im2col_loops(n: int, k: int) -> tuple:
                     lambda row: (OUT, row)])]
 
 
-def gen_batched_conv(n: int, k: int, c: int, x: int) -> Trace:
+def _batchconv_loops(n: int, k: int, c: int, x: int) -> tuple:
     """Multi-channel convolution processed x channels per pass.
 
     Each channel has its own image and kernel; all channels accumulate
     into one shared result.  Loop order: batch, window, channel in
     batch, kernel cells, then one accumulate access to R per channel.
     """
-    return _interpret(*_batchconv_loops(n, k, c, x))
-
-
-def _batchconv_loops(n: int, k: int, c: int, x: int) -> tuple:
     I, K, R = 0, c, 2 * c  # channel ch's image and kernel are I + ch and K + ch
     m = n - k + 1
     # lazy: counting names none of the 2c channel objects
@@ -376,7 +346,8 @@ def _fft_access_count(n: int) -> int:
 
 
 def _fft_fill(
-    b: _TraceBuilder,
+    names: list,
+    sizes: list,
     columns: tuple,
     at: int,
     omega: Optional[int],
@@ -385,7 +356,8 @@ def _fft_fill(
 ) -> tuple:
     """Emit len(labels) recursive radix-2 transforms of one size n in
     sequence, from trace position `at` of `columns`, the trace's numpy
-    views of its two columns; each transform's objects join `b`.
+    views of its two columns; each transform's objects join the trace's
+    `names` and `sizes` lists.
 
     `src` holds the transforms' inputs as (object ids, offsets) arrays of
     shape (transforms, n).  A call of size m > 1 copies its even inputs
@@ -407,10 +379,10 @@ def _fft_fill(
 
     in_oids, in_offsets = src
     count, n = in_oids.shape
-    first = len(b.names)
+    first = len(names)
     per_call = 3 * (n - 1)
-    names = np.empty(count * per_call, dtype=object)
-    sizes = np.empty(count * per_call, dtype=np.int64)
+    new_names = np.empty(count * per_call, dtype=object)
+    new_sizes = np.empty(count * per_call, dtype=np.int64)
 
     starts = (at + _fft_access_count(n) * np.arange(count))[:, None]
     ids = first + per_call * np.arange(count)  # each call's first object id
@@ -430,8 +402,8 @@ def _fft_fill(
                ((even + sub_objects)[:, None], col), (omega, col * (n // m)),
                ((odd + sub_objects)[:, None], col), (y[:, None], col), (y[:, None], col + h))
         for made, suffix, size in ((even, ".even", h), (odd, ".odd", h), (y, ".y", m)):
-            names[made - first] = np.array([label + suffix for label in labels], dtype=object)
-            sizes[made - first] = size
+            new_names[made - first] = np.array([label + suffix for label in labels], dtype=object)
+            new_sizes[made - first] = size
         starts = np.stack([starts + m, starts + 2 * m + sub_accesses], axis=1).reshape(-1, 1)
         ids = np.stack([even + 1, odd + 1], axis=1).ravel()
         copies = np.stack([even, odd], axis=1).reshape(-1, 1)
@@ -439,8 +411,8 @@ def _fft_fill(
         labels = [label + child for label in labels for child in (".e", ".o")]
         m = h
     _place(columns, starts, (in_oids[:, :1], in_offsets[:, :1]))
-    b.names += names.tolist()
-    b.sizes += sizes.tolist()
+    names += new_names.tolist()
+    sizes += new_sizes.tolist()
     if n == 1:
         return src
     results = first + per_call * np.arange(count) + per_call - 1
@@ -456,12 +428,12 @@ def gen_fft(n: int) -> Trace:
     """
     import numpy as np
 
-    b = _TraceBuilder()
-    columns = b.allocate(_fft_access_count(n))
-    a_obj = b.new_object("A", n)
-    omega = b.new_object("omega", n // 2) if n > 1 else None
-    _fft_fill(b, columns, 0, omega, (np.full((1, n), a_obj), np.arange(n)[None, :]), ["f"])
-    return b.build()
+    columns = _allocate(_fft_access_count(n))
+    # the input, then the root-of-unity table, which n = 1 does not need
+    names, sizes = ["A", "omega"][:1 + (n > 1)], [n, n // 2][:1 + (n > 1)]
+    _fft_fill(names, sizes, columns, 0, 1 if n > 1 else None,
+              (np.full((1, n), 0), np.arange(n)[None, :]), ["f"])
+    return _build(names, sizes, columns)
 
 
 def _fftconv2d_count(n: int) -> int:
@@ -480,61 +452,58 @@ def gen_fft_conv2d(n: int) -> Trace:
     """
     import numpy as np
 
-    b = _TraceBuilder()
-    columns = b.allocate(_fftconv2d_count(n))
-    ker = b.new_object("Kpad", n * n)
-    img = b.new_object("I", n * n)
-    omega = b.new_object("omega", n // 2) if n > 1 else None
+    columns = _allocate(_fftconv2d_count(n))
+    ker, img, omega = 0, 1, 2 if n > 1 else None
+    names, sizes = ["Kpad", "I", "omega"][:2 + (n > 1)], [n * n, n * n, n // 2][:2 + (n > 1)]
     per_pass = n * _fft_access_count(n)  # accesses of n transforms
     cells = np.arange(n * n).reshape(n, n)
 
     def transform2d(oid: int, at: int, label: str) -> tuple:
         grid = (np.full((n, n), oid), cells)
-        rows = _fft_fill(b, columns, at, omega, grid, [f"{label}.r{r}" for r in range(n)])
-        cols = _fft_fill(b, columns, at + per_pass, omega, (rows[0].T, rows[1].T),
+        rows = _fft_fill(names, sizes, columns, at, omega, grid, [f"{label}.r{r}" for r in range(n)])
+        cols = _fft_fill(names, sizes, columns, at + per_pass, omega, (rows[0].T, rows[1].T),
                          [f"{label}.c{c}" for c in range(n)])
         return cols[0].T, cols[1].T
 
     ker_t = transform2d(ker, 0, "K")
     img_t = transform2d(img, 2 * per_pass, "I")
-    prod = b.new_object("P", n * n)
+    prod = len(names)
+    names.append("P")
+    sizes.append(n * n)
     at = 4 * per_pass
     _place(columns, at + 3 * cells, ker_t, img_t, (prod, cells))
     transform2d(prod, at + 3 * n * n, "P")
-    return b.build()
+    return _build(names, sizes, columns)
 
 
 # --- kernel registry --------------------------------------------------------
 
 
-def _fft_columns(p: FftParams) -> dict:
-    lower, upper = p.result
-    return {"model_lower": lower, "model_upper": upper, "model_total": lower}
-
-
 KERNELS = {
     "matmul": Kernel(
-        MatmulParams, gen_matmul, (), lambda n: MatmulParams(n, n, n),
+        MatmulParams, (), lambda n: MatmulParams(n, n, n),
         lambda p: {"model_total": p.result},
         _matmul_loops, lambda p: MatmulParams(2, p.n, p.l) if p.m > 2 else None),
     "conv": Kernel(
-        ConvParams, gen_conv, ("k",), lambda n, k: ConvParams(n, n, k),
+        ConvParams, ("k",), lambda n, k: ConvParams(n, n, k),
         lambda p: {"model_total": p.result.total, "model_asymptotic": p.result.asymptotic},
         _conv_loops, lambda p: ConvParams(p.k + 2, p.w, p.k) if p.h - p.k + 1 > 3 else None),
     "im2col": Kernel(
-        Im2colParams, gen_im2col, ("k",), Im2colParams,
+        Im2colParams, ("k",), Im2colParams,
         lambda p: {"model_total": p.result.total},
         _im2col_loops),
     "batchconv": Kernel(
-        BatchParams, gen_batched_conv, ("k", "c", "x"), BatchParams,
+        BatchParams, ("k", "c", "x"), BatchParams,
         lambda p: {"model_total": p.result.total},
         _batchconv_loops, lambda p: BatchParams(p.n, p.k, 2 * p.x, p.x) if p.c // p.x > 2 else None),
     "fft": Kernel(
-        FftParams, gen_fft, (), FftParams,
-        _fft_columns, count=_fft_access_count),
+        FftParams, (), FftParams,
+        lambda p: {"model_lower": p.result[0], "model_upper": p.result[1], "model_total": p.result[0]},
+        generator=gen_fft, count=_fft_access_count),
     "fftconv2d": Kernel(
-        FftParams, gen_fft_conv2d, (), FftParams,
-        lambda p: {"model_total": models.model_fftconv_lower(p.n)}, count=_fftconv2d_count),
+        FftParams, (), FftParams,
+        lambda p: {"model_total": models.model_fftconv_lower(p.n)},
+        generator=gen_fft_conv2d, count=_fftconv2d_count),
 }
 
 ALGORITHMS = tuple(KERNELS)

@@ -35,7 +35,7 @@ from dmclab.advisor import (
     crossover_image_size,
     orientation_ratio,
 )
-from dmclab.tracegen import gen_conv, gen_fft, gen_matmul
+from dmclab.tracegen import KERNELS, gen_conv, gen_fft
 
 
 _CAP = None
@@ -132,7 +132,7 @@ def test_criterion_03_conv_model_tracks_measurement(conv_dmd):
 def test_criterion_04_matmul_model_tracks_measurement():
     errors = []
     for s in (16, 32, 64):
-        measured = analyze_trace(gen_matmul(s, s, s)).reuse_dmd
+        measured = analyze_trace(KERNELS["matmul"].generator(s, s, s)).reuse_dmd
         errors.append(abs(measured / model_matmul(s, s, s) - 1))
     ok = errors[-1] <= 0.25
     _check(4, ok, "matmul |ratio-1| " + ", ".join(f"{e:.4f}" for e in errors))

@@ -392,6 +392,18 @@ def test_sweep_gqa(tmp_path, capsys):
     assert [int(r["q"]) for r in csv_rows(out_path)] == [2]
 
 
+@pytest.mark.parametrize("mode", ["--measure", "--both"])
+def test_sweep_gqa_measured_exit_two(tmp_path, capsys, monkeypatch, mode):
+    # gqa has no trace, so a measured sweep is refused before any row is computed
+    monkeypatch.setattr(cli, "_gqa_rows", lambda args: pytest.fail("a gqa row was computed"))
+    out_path = tmp_path / "g.csv"
+    code, out, err = run(capsys, "sweep", "--alg", "gqa", "--heads", "8", "--budget", "1e5",
+                         mode, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert "--model" in err
+    assert not out_path.exists()
+
+
 def test_advise_batch(capsys):
     code, out, _ = run(capsys, "advise", "batch", "--n", "1024", "--k", "3", "--c", "10")
     assert code == 0

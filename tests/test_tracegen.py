@@ -17,6 +17,7 @@ from dmclab.core import (
 from dmclab.engine import analyze_trace, stack_distances_fast
 import numpy as np
 
+from dmclab import tracegen
 from dmclab.tracegen import (
     BatchParams,
     ConvParams,
@@ -25,13 +26,10 @@ from dmclab.tracegen import (
     GenSpec,
     Im2colParams,
     MatmulParams,
-    _TraceBuilder,
     access_count,
-    gen_batched_conv,
     gen_conv,
     gen_fft,
     gen_fft_conv2d,
-    gen_matmul,
     generate,
 )
 
@@ -60,15 +58,15 @@ def _small_grid(alg: str) -> list:
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.algorithm)
 def test_access_count_matches_generated_length(spec, monkeypatch):
     # the columns start as -1, so a position no access was placed at shows
-    allocate = _TraceBuilder.allocate
+    allocate = tracegen._allocate
 
-    def allocate_filled(builder, count):
-        columns = allocate(builder, count)
+    def allocate_filled(count):
+        columns = allocate(count)
         for column in columns:
             column.fill(-1)
         return columns
 
-    monkeypatch.setattr(_TraceBuilder, "allocate", allocate_filled)
+    monkeypatch.setattr(tracegen, "_allocate", allocate_filled)
     for params in [spec.params, *_small_grid(spec.algorithm)]:
         point = GenSpec(spec.algorithm, params)
         trace = generate(point)
@@ -118,7 +116,7 @@ def test_parameter_validation():
 
 
 def test_matmul_access_order():
-    trace = gen_matmul(1, 2, 1)
+    trace = KERNELS["matmul"].generator(1, 2, 1)
     names = {obj.id: obj.name for obj in trace.objects}
     seq = [(names[oid], off) for oid, off in trace.accesses]
     assert seq == [("A", 0), ("B", 0), ("A", 1), ("B", 1), ("C", 0)]
@@ -148,7 +146,7 @@ def test_conv_kernel_reuses_cluster_at_short_distances():
 
 def test_batched_conv_single_channel_equals_conv():
     plain = gen_conv(5, 5, 2)
-    batched = gen_batched_conv(5, 2, 1, 1)
+    batched = KERNELS["batchconv"].generator(5, 2, 1, 1)
     assert batched.accesses == plain.accesses
     assert [o.size for o in batched.objects] == [o.size for o in plain.objects]
 
@@ -157,8 +155,8 @@ def test_batched_conv_result_reuse_distances():
     # with all channels in one batch, R is re-touched within the window;
     # with x=1 it is only revisited after a full pass over the image
     n, k, c = 8, 2, 4
-    one_batch = analyze_trace(gen_batched_conv(n, k, c, c))
-    unbatched = analyze_trace(gen_batched_conv(n, k, c, 1))
+    one_batch = analyze_trace(generate(GenSpec("batchconv", BatchParams(n, k, c, c))))
+    unbatched = analyze_trace(generate(GenSpec("batchconv", BatchParams(n, k, c, 1))))
     near = 2 * k * k + 1
     assert max(d for d in one_batch.histogram if d <= near * c) < n * n
     assert any(d > n * n for d in unbatched.histogram)
@@ -302,6 +300,14 @@ LOOP_NEST_DIGESTS = [
                          ids=lambda v: str(v).replace(" ", "")[:12])
 def test_loop_nest_generators_emit_pinned_traces(alg, params, digest):
     assert _digest(KERNELS[alg].generator(*params)) == digest
+
+
+@pytest.mark.parametrize("alg,args", [("conv", (1, 1, 1)), ("conv", (6, 9, 3)), ("conv", (17, 11, 5)),
+                                      ("fft", (1,)), ("fft", (2,)), ("fft", (64,))])
+def test_named_generators_equal_generate(alg, args):
+    # gen_conv and gen_fft keep their names because the benchmark under dmcbench/ calls them
+    generator = {"conv": gen_conv, "fft": gen_fft}[alg]
+    assert generator(*args) == generate(GenSpec(alg, KERNELS[alg].params(*args)))
 
 
 @pytest.mark.parametrize("generator,n", [(gen_fft, 1024), (gen_fft_conv2d, 8)])
