@@ -438,9 +438,9 @@ def scale_granularity(report: DmdReport, bits: int) -> DmdReport:
 # externally produced traces.
 
 
-# bytes read per chunk of whole lines: at 32 KiB of the lines `write_dmt`
-# writes, a chunk's int64 index arrays stay below glibc's 128 KiB mmap
-# threshold and reuse heap pages
+# bytes read per chunk of whole lines: at 32 KiB, unless most lines are as
+# short as "0 0\n", a chunk's padded copy and per-field arrays (8 bytes a
+# field) stay below glibc's 128 KiB mmap threshold and reuse heap pages
 DMT_CHUNK_BYTES = 1 << 15
 # accesses formatted per write.  A chunk of N holds a column's magnitudes
 # (8 bytes per access), per digit position a digit row and a mask row of N
@@ -509,9 +509,9 @@ def read_dmt(path) -> Trace:
     each chunk is split after its leading header, comment and blank lines.
     Those are parsed in bulk by `_read_headers` when every one is a
     header as `write_dmt` writes it; the lines after them, when every one
-    is a canonical access (`_canonical`), by numpy in one call.  Any other
-    part of a chunk goes through `_parse_line`, the definition of the
-    format, a line at a time.  Every malformed line raises
+    is a canonical access, by `_access_values`' 8-byte digit arithmetic.
+    Any other part of a chunk goes through `_parse_line`, the definition
+    of the format, a line at a time.  Every malformed line raises
     TraceFormatError with its line number, and so does the access that
     would take the columns beyond `physical_memory()`; an access to an
     undeclared object or element is reported by its access index.
@@ -542,11 +542,13 @@ def read_dmt(path) -> Trace:
             rest = text[split:]
             if not rest:
                 continue
-            if _canonical(rest):
-                values = np.fromstring(rest, dtype=np.int64, sep=" ")
-                lines = range(lineno + 1, lineno + 1 + len(values) // 2)
-            else:
+            values = _access_values(rest)
+            if values is None:
                 values, lines = _parse_lines(raw[split:], lineno, table)
+                lineno += rest.count(b"\n")
+            else:
+                lines = range(lineno + 1, lineno + 1 + len(values) // 2)
+                lineno += len(lines)
             end = count + len(lines)
             if end > limit:
                 raise TraceFormatError(
@@ -559,7 +561,6 @@ def read_dmt(path) -> Trace:
             oids[count:end] = values[0::2]
             offsets[count:end] = values[1::2]
             count = end
-            lineno += rest.count(b"\n")
     # give back the tail that the file's size reserved and no access filled;
     # no view of either buffer exists yet, so the check for one can go
     oids.resize(count, refcheck=False)
@@ -615,25 +616,54 @@ def _parse_lines(text: str, lineno: int,
     return values, lines
 
 
-def _canonical(text: bytes) -> bool:
-    """Whether `text` is whole lines, each a canonical access
-    ``[-]digits SP [-]digits`` of at most DMT_MAX_DIGITS digits a field:
-    the lines that numpy's integer parser reads as `_parse_line` does."""
+def _access_values(text: bytes) -> np.ndarray | None:
+    """The fields of `text` as int64, two a line, if it is whole lines, each a
+    canonical access ``[-]digits SP [-]digits`` of 1 to DMT_MAX_DIGITS digits a
+    field, read as `_parse_line` reads them; else None.  Each 8 digits of a field
+    come from the 8-byte word that ends with them (SWAR, after Langdale and Lemire)."""
     import numpy as np
 
     if not text.endswith(b"\n") or text.translate(None, b"0123456789 -\n"):
-        return False
+        return None
     buf = np.frombuffer(text, dtype=np.uint8)
-    ends = np.flatnonzero((buf == ord(" ")) | (buf == ord("\n")))
-    # each line is one field, a space, one field and a newline
-    if (buf[ends[0::2]] != ord(" ")).any() or (buf[ends[1::2]] != ord("\n")).any():
-        return False
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    negative = buf[starts] == ord("-")
-    digits = ends - starts - negative
-    # and a '-' only opens a field
-    return bool(digits.min() >= 1 and digits.max() <= DMT_MAX_DIGITS
-                and np.count_nonzero(negative) == text.count(b"-"))
+    # of the bytes left, only space and newline sort below '-'
+    ends = np.flatnonzero(buf <= ord(" "))
+    # each field's width in bytes, then in digits once a sign is taken off
+    digits = ends.copy()
+    digits[1:] -= ends[:-1] + 1
+    minus = text.count(b"-")
+    if minus:
+        negative = buf.take(ends - digits) == ord("-")
+        digits -= negative
+    # each line is one field, a space, one field and a newline (the
+    # separators, two bytes at a time, spell " \n"), and a '-' only opens a field
+    if (len(ends) % 2 or (buf.take(ends).view("<u2") != 0x0A20).any() or digits.min() < 1
+            or digits.max() > DMT_MAX_DIGITS or minus and np.count_nonzero(negative) != minus):
+        return None
+    # word i is the 8 bytes of `text` that end at byte i - 1, little-endian
+    words = np.ndarray((len(text) + 1,), dtype="<u8", buffer=bytes(8) + text, strides=(1,))
+    # masks[w]: the low nibble, a digit's value, of a word's top min(w, 8) bytes
+    masks = np.array([0x0F0F0F0F0F0F0F0F >> shift << shift for shift in range(64, 0, -8)]
+                     + [0x0F0F0F0F0F0F0F0F] * (DMT_MAX_DIGITS - 7), dtype=np.uint64)
+    values = _eight_digits(words.take(ends), masks.take(digits))
+    for skip in range(8, digits.max(), 8):
+        wide = np.flatnonzero(digits > skip)
+        word = _eight_digits(words.take(ends[wide] - skip), masks.take(digits[wide] - skip))
+        values[wide] += word * 10**skip
+    if minus:  # two's complement, so the int64 view reads -value
+        np.negative(values, out=values, where=negative)
+    return values.view(np.int64)
+
+
+def _eight_digits(words: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """`words & masks` as the numbers its digit bytes spell, low byte most significant, in place."""
+    words &= masks
+    for bits, mask in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF)):
+        # the low half of each lane of 2 * bits bits joins both halves
+        words *= 10 ** (bits // 8) << bits | 1
+        words >>= bits
+        words &= mask
+    return words
 
 
 # every ASCII control character but tab and the newline that ends a line

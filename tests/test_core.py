@@ -427,6 +427,64 @@ def test_dmt_read_through_a_pipe_equals_the_file(tmp_path, chunk_bytes):
     assert piped == read_dmt(path) == trace
 
 
+# fields of 1, 8, 9, 16, 17 and 18 digits, where the parse takes one more
+# 8-byte word, each power of ten below 10**18 and its predecessor, and
+# leading zeros, each with and without a sign
+SWAR_FIELDS = (["7", "12345678", "123456789", "1234567890123456", "12345678901234567",
+                "123456789012345678", "0", "007", "000000001", "000000000000000007"]
+               + [str(v) for k in range(18) for v in (10**k, 10**k - 1)] + [str(10**18 - 1)])
+SWAR_FIELDS += ["-" + field for field in SWAR_FIELDS]
+
+
+def test_access_values_match_parse_line():
+    # each field opens a line and closes another
+    lines = [f"{a} {b}" for a, b in zip(SWAR_FIELDS, SWAR_FIELDS[1:] + SWAR_FIELDS[:1])]
+    expected = [list(core._parse_line(line, i, [])) for i, line in enumerate(lines, start=1)]
+    values = core._access_values("".join(line + "\n" for line in lines).encode("ascii"))
+    assert values.dtype == np.int64
+    assert values.reshape(-1, 2).tolist() == expected
+    # a line alone: its first field's words reach in front of the text
+    for line, pair in zip(lines, expected):
+        assert core._access_values(f"{line}\n".encode("ascii")).tolist() == pair
+
+
+# each chunk breaks exactly one of the conditions of a canonical chunk
+@pytest.mark.parametrize("text", [
+    b"0 1\n" + b"1" * 19 + b" 2\n",
+    b"0 1\n2 -" + b"1" * 19 + b"\n",
+    b"0 1\n--1 2\n",
+    b"0 1\n1-2 3\n",
+    b"0 1\n1 2-\n",
+    b"0 1\n- 1\n",
+    b"0 1\n0 1 2\n",
+    b"0 1\n0\n",
+    b"0 1\n0  1\n",
+    b"0 1\n\n",
+    b"0 1\n2 3",
+    b"0 1\n2\t3\n",
+])
+def test_access_values_refuse_a_chunk_that_is_not_canonical(text):
+    assert core._access_values(text) is None
+
+
+@pytest.mark.parametrize("chunk_bytes", [core.DMT_CHUNK_BYTES, 64])
+def test_every_chunk_that_write_dmt_writes_is_parsed_in_bulk(tmp_path, chunk_bytes):
+    from dmclab.tracegen import ConvParams, FftParams, GenSpec, generate
+
+    wide = [DataObject(-(10**18 - 1), "wide", 10**18 - 1), DataObject(-3, "n", 5)]
+    traces = [generate(GenSpec("conv", ConvParams(64, 64, 3))),
+              # a header per object: many header blocks at 64 bytes a chunk
+              generate(GenSpec("fft", FftParams(2**10))),
+              Trace(wide, [(-(10**18 - 1), 10**18 - 2), (-3, 4), (-(10**18 - 1), 10**17), (-3, 0)])]
+    path = tmp_path / "t.dmt"
+    with mock.patch.object(core, "_parse_lines", wraps=core._parse_lines) as parse_lines, \
+            mock.patch.object(core, "DMT_CHUNK_BYTES", chunk_bytes):
+        for trace in traces:
+            write_dmt(trace, path)
+            assert read_dmt(path) == trace
+    assert parse_lines.call_count == 0
+
+
 def _first_bad_access(objects, accesses):
     """The per-access reference for `Trace._validate`."""
     sizes = {obj.id: obj.size for obj in objects}
