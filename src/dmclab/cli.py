@@ -33,7 +33,7 @@ from dmclab.core import (
     read_dmt,
     write_dmt,
 )
-from dmclab.engine import analyze_trace, measure
+from dmclab.engine import _measure, analyze_trace
 
 SWEEP_ACCESS_BUDGET = 10**7
 
@@ -324,6 +324,7 @@ def _sweep_points(args) -> tuple[list[dict], list[str]]:
         columns += ["ratio"]
 
     if args.mode in ("measure", "both"):
+        plans = []
         for row, spec in zip(rows, specs):
             count = tracegen.access_count(spec)
             if count > SWEEP_ACCESS_BUDGET and not args.force:
@@ -333,9 +334,10 @@ def _sweep_points(args) -> tuple[list[dict], list[str]]:
                     f"(> {SWEEP_ACCESS_BUDGET}); pass --force to run it"
                 )
             rule = tracegen.prefix_rule(spec)
-            tracegen.check_memory(tracegen.access_count(rule[0] if rule else spec), ANALYSIS_BYTES)
-        for row, spec in zip(rows, specs):
-            row["measured"] = measure(spec).reuse_dmd
+            tracegen.check_memory(tracegen.access_count(rule[0]) if rule else count, ANALYSIS_BYTES)
+            plans.append((spec, rule, count))
+        for row, plan in zip(rows, plans):
+            row["measured"] = _measure(*plan).reuse_dmd
             total = row["model_total"]
             row["ratio"] = row["measured"] / total if total else math.nan
     return rows, columns

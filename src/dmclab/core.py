@@ -75,7 +75,7 @@ class DataObject:
 
 # bytes a trace holds per access: one int64 in each of its two columns
 ACCESS_BYTES = 2 * 8
-# peak bytes per access of generating and analysing a trace: 26-34 measured, with room
+# peak bytes per access of generating and analysing a trace: 24-29 measured, with room
 ANALYSIS_BYTES = 40
 # accesses `Trace._validate` takes per numpy pass
 VALIDATE_ACCESSES = 1 << 16

@@ -23,9 +23,9 @@ prev column in log2 N - 6 passes, each a stable partition by one bit of
 prev's rank, one segment of 2^16 slots at a time, and a bitset popcount
 for the low six bits.  The engines' outputs are equal element-wise for
 every trace.  `analyze_trace` lets a caller's temporary trace go once
-its keys exist, so a gen -> analyze peaks near 30 bytes per access: the
-trace's 16 beside the keys' 8, then about 26 in the engine (tracemalloc,
-fft and conv at 10^6 accesses).
+its keys exist, so a gen -> analyze peaks at 24-29 bytes per access: the
+trace's 16 beside the keys' 8, then the engine's columns (tracemalloc,
+conv n = 256, matmul n = 64 and fft n = 2^15).
 
 Between the two steps, `analyze_trace` counts a repeating tail once.
 Equivalently to the formula above, a reuse's distance is
@@ -45,10 +45,10 @@ of the base stand for the tail too.  Nothing about the trace is assumed:
 only the check is trusted, and without a verified period the whole column
 is counted.  The search reads the last n/16 intervals and then, per
 rejected candidate, back to its last mismatch: about 1 ms on fft
-n = 2^15 (2.2 M accesses, no period), whose count takes about 200 ms.
-conv n = 256 (1.2 M accesses) is counted from a base of 14,446 accesses
-at b = 1 and of 19,088 at b = 4, and its sort, search and count take
-32-41 ms instead of 150-187 ms (min of 9 runs, 2 vCPUs).
+n = 2^15 (2.2 M accesses, no period), whose sort and count take about
+160 ms.  conv n = 256 (1.2 M accesses) is counted from a base of 14,446
+accesses at b = 1 and of 19,088 at b = 4, and its sort, search and count
+take 26-27 ms instead of 122-130 ms (min of 9 runs, 2 vCPUs).
 
 One fold follows.  `_fold_tail` counts a base of S accesses whose last
 tau stand for the rest of n: with n - S = q * tau + r, the first r of
@@ -145,7 +145,8 @@ def _block_ids(trace: Trace, block_size: int) -> np.ndarray:
     if the layout spans 2**63 elements or more, so every key fits."""
     keys = build_layout(trace.objects, block_size).starts[trace._rows()]
     keys += trace.offsets
-    keys //= block_size
+    if block_size > 1:
+        keys //= block_size
     return keys
 
 
@@ -302,8 +303,9 @@ def _previous(keys: np.ndarray) -> np.ndarray:
         keys = keys[order]
     same = keys[1:] == keys[:-1]
     del keys  # arrays go once used: on long traces they set peak memory
-    prev = np.full(n, -1, dtype=np.int32)
-    prev[order[1:][same]] = order[:-1][same]
+    prev = np.empty(n, dtype=np.int32)
+    prev[order[:1]] = -1
+    prev[order[1:]] = np.where(same, order[:-1], -1)
     return prev
 
 
@@ -327,8 +329,9 @@ def _dominance(prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # prev[i]; so do the cold accesses before i, with prev -1
     distances = _count_smaller_before(ranks)
     del ranks
-    cold_before = np.cumsum(~reuse, dtype=np.int32)[reuse]
-    distances += cold_before
+    # the k-th reuse, at position i, has i - k cold accesses before it
+    distances += np.flatnonzero(reuse)
+    distances -= np.arange(len(p))
     distances -= p
     return reuse, distances
 
@@ -588,11 +591,14 @@ def measure(spec: tracegen.GenSpec) -> DmdReport:
     Without a declared prefix the full trace is generated, and
     `analyze_trace` counts a tail that it verifies to repeat once.
     """
-    rule = tracegen.prefix_rule(spec)
+    return _measure(spec, tracegen.prefix_rule(spec), tracegen.access_count(spec))
+
+
+def _measure(spec: tracegen.GenSpec, rule: Optional[tuple], n_accesses: int) -> DmdReport:
+    """`measure(spec)`, given its prefix rule and access count."""
     if rule is None:
         return analyze_trace(tracegen.generate(spec))
     prefix, tau = rule
-    n_accesses = tracegen.access_count(spec)
     if n_accesses >= 2**63:
         raise ValidationError(f"the trace has {n_accesses} accesses; a report counts fewer than 2**63")
     counts = _fold_tail(*_reuse_distances(_block_ids(tracegen.generate(prefix), 1)), n_accesses, tau)

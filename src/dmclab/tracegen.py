@@ -15,20 +15,22 @@ fields, so sweeps read the model columns without evaluating it again.
 
 Every generator allocates its two columns at the trace's exact length
 first (`_allocate`, which refuses a length beyond physical memory), then
-places its accesses into them a loop nest at a time (`_place`: where
-each iteration starts and each access's object id and offset are numpy
-expressions in the loop indices), and hands them with its objects' name
-and size lists, object i having id i, to the trace (`_build`).  The
-affine kernels are declared as loop nests, such as `_conv_loops`:
-objects as (name, size) pairs and a body run in order, of nests, each
-loop extents over an inner body, and accesses, each a function of the
-enclosing loop indices to an (object id, offset) pair.  Their generator
-is one interpreter (`_interpret`), which counts a declaration's accesses
-by integer arithmetic and places them, each nest's iterations at
-multiples of its body's count.  The recursive FFT generators know each
-call's place in the trace from its parent's, so they place one recursion
-depth at a time.  numpy is imported only inside the functions that
-build a trace, so the commands that make no trace never load it.
+writes its accesses through views of them (`_write`): a loop nest fills
+a contiguous run, which reshaped to its loops' extents plus an axis of
+its body is the nest, each access one index of that axis with its object
+ids and offsets numpy expressions in the loop indices.  It hands them
+with its objects' name and size lists, object i having id i, to the
+trace (`_build`).  The affine kernels are declared as loop nests, such as
+`_conv_loops`: objects as (name, size) pairs and a body run in order, of
+nests, each loop extents over an inner body, and accesses, each a
+function of the enclosing loop indices to an (object id, offset) pair.
+Their generator is one interpreter (`_interpret`), which counts a
+declaration's accesses by integer arithmetic and writes them, an inner
+nest through a slice of its enclosing body's axis (`_emit`).  The FFT
+generators write odd children and later transforms as copies of earlier
+blocks with object ids raised (`_fft_fill`).  numpy is imported only
+inside the functions that build a trace, so the commands that make no
+trace never load it.
 
 A kernel whose trace repeats may declare a prefix (`Kernel.prefix`): a
 smaller parameter record whose trace is the full trace's first
@@ -195,17 +197,17 @@ def _build(names: Sequence[str], sizes: Sequence[int], columns: tuple) -> Trace:
     return Trace.from_columns(ObjectTable(ids, names, sizes), *columns, validate=False)
 
 
-def _place(columns: tuple, at, *body) -> None:
-    """Write one loop nest's accesses into `columns`, numpy views of a
-    trace's two columns.  Each iteration runs `body`, its accesses in
-    order, from trace position `at` on.  `at` and each access's (object
-    ids, offsets) pair are expressions in the loop indices: `at` an array
-    over the nest's iteration space, the pairs arrays that broadcast to
-    its shape."""
-    for i, access in enumerate(body):
-        where = at + i
-        for column, values in zip(columns, access):
-            column[where] = values
+def _write(columns: tuple, at: int, shape: tuple, *body) -> None:
+    """Write a loop nest over `shape` whose iterations each run `body`, its
+    accesses in order, into `columns`, views of the trace's two columns,
+    from position `at` of their last axis: the run it fills, viewed as
+    `shape` plus an axis of the body, takes each access's (object ids,
+    offsets) pair, arrays that broadcast to it, at its place on that axis."""
+    for column, values in zip(columns, zip(*body)):
+        run = column[..., at:at + math.prod(shape) * len(body)]
+        view = run.reshape(run.shape[:-1] + shape + (len(body),))
+        for i, value in enumerate(values):
+            view[..., i] = value
 
 
 def _values(params) -> list:
@@ -243,33 +245,34 @@ def _count(body) -> int:
 
 def _interpret(objects, body) -> Trace:
     """The trace that a declaration gives: its columns allocated at the
-    declared count, its objects in order, then its body placed."""
+    declared count, its objects in order, then its body written."""
     columns = _allocate(_count(body))
     names, sizes = zip(*objects)
-    _emit(columns, 0, (), body)
+    _emit(columns, body)
     return _build(names, sizes, columns)
 
 
-def _emit(columns: tuple, at, extents: tuple, body) -> None:
-    """Place `body` in every iteration of the enclosing loops `extents`,
-    from trace position `at`, an array over their iteration space.  A
-    nest's iteration t, numbered row-major over its own loops, starts t
-    times its body's count after the nest does."""
+def _emit(views: tuple, body) -> None:
+    """Write `body` through `views`, views of the trace's two columns shaped
+    as the enclosing loops' extents plus an axis of the body's accesses.
+    A nest fills a contiguous run of that axis, which splits, as a view,
+    into its loops' extents plus an axis of its own body."""
     import numpy as np
 
+    extents = views[0].shape[:-1]
     grid = np.ix_(*map(np.arange, extents))
+    at = 0
     for item in body:
         if callable(item):
-            _place(columns, at, item(*grid))
-            at = at + 1
+            for view, values in zip(views, item(*grid)):
+                view[..., at] = values
+            at += 1
             continue
         loops, inner = item
         per = _count(inner)
-        t = 0
-        for index, extent in zip(np.ix_(*map(np.arange, extents + loops))[len(extents):], loops):
-            t = t * extent + index
-        _emit(columns, np.reshape(at, np.shape(at) + (1,) * len(loops)) + per * t, extents + loops, inner)
-        at = at + math.prod(loops) * per
+        span = math.prod(loops) * per
+        _emit(tuple(view[..., at:at + span].reshape(extents + loops + (per,)) for view in views), inner)
+        at += span
 
 
 def _matmul_loops(m: int, n: int, l: int) -> tuple:
@@ -367,56 +370,70 @@ def _fft_fill(
     `.y` object.  A call of size 1 reads its input.  Returns the outputs
     in the shape of `src`: a call's `.y`, or its input when n = 1.
 
-    The calls are emitted one recursion depth at a time.  A call of size
-    m spans A(m) = 9m/2 + 2 A(m/2) accesses (A(1) = 1) and creates
-    O(m) = 3(m - 1) objects, so with h = m/2, a call at position P whose
-    first object id is Q has its even copies at P and its even child at
-    P + m, its odd copies at P + m + A(h) and its odd child at
+    A call of size m spans A(m) = 9m/2 + 2 A(m/2) accesses (A(1) = 1) and
+    creates O(m) = 3(m - 1) objects, so with h = m/2, a call at position P
+    whose first object id is Q has its even copies at P and its even child
+    at P + m, its odd copies at P + m + A(h) and its odd child at
     P + 2m + A(h), and conquers at P + 2m + 2 A(h); its `.even` is Q, its
-    `.odd` is Q + 1 + O(h) and its `.y` is Q + 2 + 2 O(h).
+    `.odd` is Q + 1 + O(h) and its `.y` is Q + 2 + 2 O(h).  Names and
+    sizes are made one depth at a time, and the accesses through views of
+    the columns, a row per transform, along the spine of even children
+    from its innermost call out: each call's copies and conquer as slices
+    of steps 2 and 5, and its odd child as a twin of its even one, every
+    object id but omega's raised by 1 + O(h).
     """
     import numpy as np
 
-    in_oids, in_offsets = src
-    count, n = in_oids.shape
+    count, n = src[0].shape
     first = len(names)
     per_call = 3 * (n - 1)
     new_names = np.empty(count * per_call, dtype=object)
     new_sizes = np.empty(count * per_call, dtype=np.int64)
-
-    starts = (at + _fft_access_count(n) * np.arange(count))[:, None]
-    ids = first + per_call * np.arange(count)  # each call's first object id
+    base = first + per_call * np.arange(count)[:, None]  # each transform's first object id
+    ids = base[:, 0]  # each call's first object id, one depth at a time
     m = n
     while m > 1:
         h = m // 2
-        sub_accesses, sub_objects = _fft_access_count(h), 3 * (h - 1)
-        even, odd = ids, ids + 1 + sub_objects
-        y = odd + 1 + sub_objects
-        col = np.arange(h)
-        _place(columns, starts + 2 * col,
-               (in_oids[:, 0::2], in_offsets[:, 0::2]), (even[:, None], col))
-        _place(columns, starts + m + sub_accesses + 2 * col,
-               (in_oids[:, 1::2], in_offsets[:, 1::2]), (odd[:, None], col))
-        # a child's result is the last object of its subtree, its copy if h = 1
-        _place(columns, starts + 2 * m + 2 * sub_accesses + 5 * col,
-               ((even + sub_objects)[:, None], col), (omega, col * (n // m)),
-               ((odd + sub_objects)[:, None], col), (y[:, None], col), (y[:, None], col + h))
+        even, odd = ids, ids + 1 + 3 * (h - 1)
+        y = odd + 1 + 3 * (h - 1)
         for made, suffix, size in ((even, ".even", h), (odd, ".odd", h), (y, ".y", m)):
             new_names[made - first] = np.array([label + suffix for label in labels], dtype=object)
             new_sizes[made - first] = size
-        starts = np.stack([starts + m, starts + 2 * m + sub_accesses], axis=1).reshape(-1, 1)
         ids = np.stack([even + 1, odd + 1], axis=1).ravel()
-        copies = np.stack([even, odd], axis=1).reshape(-1, 1)
-        in_oids, in_offsets = np.broadcast_arrays(copies, col)
         labels = [label + child for label in labels for child in (".e", ".o")]
         m = h
-    _place(columns, starts, (in_oids[:, :1], in_offsets[:, :1]))
     names += new_names.tolist()
     sizes += new_sizes.tolist()
+
+    span = _fft_access_count(n)
+    oids, offsets = rows = tuple(c[at:at + count * span].reshape(count, span) for c in columns)
+    # the spine call of size m starts at 2n - 2m, its first object id is the
+    # base's plus its depth, and it reads its parent's `.even` or the input
+    depth = n.bit_length() - 1
+    ids, offs = src if n == 1 else np.broadcast_arrays(base + depth - 1, np.arange(1))
+    _write(rows, 2 * n - 2, (1,), (ids, offs))
+    m = 1
+    while m < n:
+        h, m, depth = m, 2 * m, depth - 1
+        start, even = 2 * n - 2 * m, base + depth
+        sub_accesses, sub_objects = _fft_access_count(h), 3 * (h - 1)
+        odd = even + 1 + sub_objects
+        y = odd + 1 + sub_objects
+        col = np.arange(h)
+        ids, offs = src if m == n else np.broadcast_arrays(even - 1, np.arange(m))
+        _write(rows, start, (h,), (ids[:, 0::2], offs[:, 0::2]), (even, col))
+        _write(rows, start + m + sub_accesses, (h,), (ids[:, 1::2], offs[:, 1::2]), (odd, col))
+        child = slice(start + m, start + m + sub_accesses)
+        twin = slice(start + 2 * m + sub_accesses, start + 2 * m + 2 * sub_accesses)
+        np.add(oids[:, child], 1 + sub_objects, out=oids[:, twin])
+        oids[:, twin][oids[:, child] == omega] = omega
+        offsets[:, twin] = offsets[:, child]
+        # a child's result is the last object of its subtree, its copy if h = 1
+        _write(rows, start + 2 * m + 2 * sub_accesses, (h,), (even + sub_objects, col),
+               (omega, col * (n // m)), (odd + sub_objects, col), (y, col), (y, col + h))
     if n == 1:
         return src
-    results = first + per_call * np.arange(count) + per_call - 1
-    return (np.broadcast_to(results[:, None], (count, n)),
+    return (np.broadcast_to(base + per_call - 1, (count, n)),
             np.broadcast_to(np.arange(n), (count, n)))
 
 
@@ -471,7 +488,7 @@ def gen_fft_conv2d(n: int) -> Trace:
     names.append("P")
     sizes.append(n * n)
     at = 4 * per_pass
-    _place(columns, at + 3 * cells, ker_t, img_t, (prod, cells))
+    _write(columns, at, (n, n), ker_t, img_t, (prod, cells))
     transform2d(prod, at + 3 * n * n, "P")
     return _build(names, sizes, columns)
 

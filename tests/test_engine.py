@@ -263,6 +263,43 @@ def test_keys_too_wide_to_pack_beside_positions():
         assert same_distances.tolist() == distances.tolist()
 
 
+def _last_seen(keys: list) -> list:
+    """prev of a key column by a dict of each key's last position."""
+    seen, prev = {}, []
+    for i, key in enumerate(keys):
+        prev.append(seen.get(key, -1))
+        seen[key] = i
+    return prev
+
+
+EDGE_KEYS = {
+    "empty": [],
+    "single": [5],
+    "all cold": [7, -4, 0, 31, -31, 6],
+    "all reuse": [-9] * 7,
+    "mixed": [4, 1, 4, -6, 1, 1, 4, -6, 20],
+}
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["packed", "argsort"])
+@pytest.mark.parametrize("name", EDGE_KEYS)
+def test_previous_and_dominance_on_edge_columns(name, wide):
+    # scaled by 2^58, a key of magnitude 4 or more leaves no room for the
+    # positions of 2 to 16 accesses, so the column takes the argsort; so
+    # does an empty one, and one access always packs
+    keys = [key << 58 if wide else key for key in EDGE_KEYS[name]]
+    column = np.array(keys, dtype=np.int64)
+    bound = 1 << (63 - max(len(keys) - 1, 0).bit_length())
+    packs = bool(keys) and -bound <= min(keys) and max(keys) < bound
+    assert packs == (len(keys) == 1 or bool(keys) and not wide)
+    prev = engine._previous(column)
+    assert prev.dtype == np.int32 and prev.tolist() == _last_seen(keys)
+    oracle = engine._lru_distances(keys)
+    reuse, distances = engine._dominance(prev)
+    assert reuse.tolist() == [d is not None for d in oracle]
+    assert distances.tolist() == [d for d in oracle if d is not None]
+
+
 @pytest.mark.parametrize("spec", [GenSpec("fft", FftParams(2**12)),
                                   GenSpec("conv", ConvParams(64, 64, 3))])
 def test_analysis_of_a_temporary_trace_peaks_below_52_bytes_per_access(spec):

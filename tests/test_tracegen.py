@@ -5,6 +5,8 @@ import io
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmclab.core import (
     COLD_POLICIES,
@@ -319,3 +321,104 @@ def test_generation_and_analysis_build_no_data_object(generator, n, monkeypatch)
     for cold in COLD_POLICIES:
         analyze_trace(trace, AnalysisConfig(cold_policy=cold))
     assert len(built) == 0
+
+
+def _loop_reference(objects, body) -> tuple:
+    """A declaration's (names, sizes, accesses), by one scalar call of each
+    access function per iteration of itertools.product over its loops."""
+    accesses = []
+
+    def run(items, indices):
+        for item in items:
+            if callable(item):
+                accesses.append(tuple(int(v) for v in item(*indices)))
+                continue
+            loops, inner = item
+            for index in itertools.product(*map(range, loops)):
+                run(inner, indices + index)
+
+    run(body, ())
+    names, sizes = zip(*objects)
+    return list(names), list(sizes), accesses
+
+
+# (alg, params) of each declared kernel at small shapes, k in 1..3 and n >= k
+DECLARED_SHAPES = st.one_of(
+    st.tuples(st.just("matmul"), st.tuples(*[st.integers(1, 6)] * 3)),
+    st.integers(1, 3).flatmap(lambda k: st.tuples(
+        st.just("conv"), st.tuples(st.integers(k, k + 6), st.integers(k, k + 6), st.just(k)))),
+    st.integers(1, 3).flatmap(lambda k: st.tuples(
+        st.just("im2col"), st.tuples(st.integers(k, k + 6), st.just(k)))),
+    st.tuples(st.integers(1, 3), st.integers(0, 4), st.integers(1, 3), st.integers(1, 3)).map(
+        lambda v: ("batchconv", (v[0] + v[1], v[0], v[2] * v[3], v[3]))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(DECLARED_SHAPES)
+def test_declared_kernels_equal_a_scalar_loop_reference(shape):
+    alg, params = shape
+    kernel = KERNELS[alg]
+    assert kernel.loops is not None
+    trace = generate(GenSpec(alg, kernel.params(*params)))
+    names, sizes, accesses = _loop_reference(*kernel.loops(*params))
+    assert [obj.name for obj in trace.objects] == names
+    assert trace.objects.sizes.tolist() == sizes
+    assert list(trace.accesses) == accesses
+
+
+def _fft_reference(names, sizes, accesses, omega, n, label, src) -> list:
+    """One recursive call of size len(src) as `_fft_fill` defines it, one
+    Python call per call: its objects join `names` and `sizes`, its
+    accesses `accesses`; returns its outputs as (object id, offset) pairs."""
+    m = len(src)
+    if m == 1:
+        accesses.append(src[0])
+        return src
+    h = m // 2
+    results = []
+    for inputs, suffix, child in ((src[0::2], ".even", ".e"), (src[1::2], ".odd", ".o")):
+        copy = len(names)
+        names.append(label + suffix)
+        sizes.append(h)
+        for c, access in enumerate(inputs):
+            accesses += [access, (copy, c)]
+        results.append(_fft_reference(names, sizes, accesses, omega, n, label + child,
+                                      [(copy, c) for c in range(h)]))
+    y = len(names)
+    names.append(label + ".y")
+    sizes.append(m)
+    for c in range(h):
+        accesses += [results[0][c], (omega, c * (n // m)), results[1][c], (y, c), (y, c + h)]
+    return [(y, c) for c in range(m)]
+
+
+def _trace_lists(trace) -> tuple:
+    return [obj.name for obj in trace.objects], trace.objects.sizes.tolist(), list(trace.accesses)
+
+
+@pytest.mark.parametrize("n", [2**e for e in range(9)])
+def test_fft_equals_a_call_by_call_recursion(n):
+    names, sizes, accesses = ["A", "omega"][:1 + (n > 1)], [n, n // 2][:1 + (n > 1)], []
+    _fft_reference(names, sizes, accesses, 1, n, "f", [(0, c) for c in range(n)])
+    assert _trace_lists(gen_fft(n)) == (names, sizes, accesses)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_fftconv2d_equals_a_call_by_call_recursion(n):
+    names, sizes, accesses = ["Kpad", "I", "omega"][:2 + (n > 1)], [n * n, n * n, n // 2][:2 + (n > 1)], []
+
+    def transform2d(oid, label):
+        fft = lambda label, src: _fft_reference(names, sizes, accesses, 2, n, label, src)
+        rows = [fft(f"{label}.r{r}", [(oid, r * n + c) for c in range(n)]) for r in range(n)]
+        cols = [fft(f"{label}.c{c}", [rows[r][c] for r in range(n)]) for c in range(n)]
+        return [[cols[c][r] for c in range(n)] for r in range(n)]
+
+    ker, img = transform2d(0, "K"), transform2d(1, "I")
+    prod = len(names)
+    names.append("P")
+    sizes.append(n * n)
+    for r, c in itertools.product(range(n), range(n)):
+        accesses += [ker[r][c], img[r][c], (prod, r * n + c)]
+    transform2d(prod, "P")
+    assert _trace_lists(gen_fft_conv2d(n)) == (names, sizes, accesses)
