@@ -33,7 +33,7 @@ from dmclab.core import (
     read_dmt,
     write_dmt,
 )
-from dmclab.engine import _measure, analyze_trace
+from dmclab.engine import analyze_trace, measure
 
 SWEEP_ACCESS_BUDGET = 10**7
 
@@ -58,10 +58,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_gen = sub.add_parser("gen", help="generate a trace file")
-    p_gen.set_defaults(run=cmd_gen)
     p_gen.add_argument("--alg", required=True, choices=tracegen.ALGORITHMS)
-    for name in dict.fromkeys(n for k in tracegen.KERNELS.values() for n in k.param_names):
+    flags = dict.fromkeys(n for k in tracegen.KERNELS.values() for n in k.param_names)
+    for name in flags:
         p_gen.add_argument(f"--{name}", type=int)
+    p_gen.set_defaults(run=cmd_gen, flags=tuple(flags))
     p_gen.add_argument("--out", required=True, help="output .dmt path")
 
     p_an = sub.add_parser("analyze", help="measure the DMD of a trace")
@@ -74,21 +75,20 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--report", help="write the JSON report here instead of stdout")
 
     p_mod = sub.add_parser("model", help="evaluate a closed-form cost model")
-    p_mod.set_defaults(run=cmd_model)
     p_mod.add_argument("name", nargs="?", help="model name (see --list)")
     p_mod.add_argument("--list", action="store_true", help="list available models")
-    for name in dict.fromkeys(name for flags, _, _ in MODELS.values() for name in flags):
+    flags = dict.fromkeys(name for names, _, _ in MODELS.values() for name in names)
+    for name in flags:
         p_mod.add_argument(f"--{name}", type=int)
+    p_mod.set_defaults(run=cmd_model, flags=tuple(flags))
 
     p_sw = sub.add_parser("sweep", help="evaluate models and/or measurements over ranges")
-    p_sw.set_defaults(run=cmd_sweep)
     p_sw.add_argument("--alg", required=True,
                       choices=tracegen.ALGORITHMS + ("gqa",))
-    p_sw.add_argument("--n", help="range: 'a,b,c' or 'a..b' (doubling) or 'a..b:step'")
-    p_sw.add_argument("--k", type=int)
-    p_sw.add_argument("--c", type=int)
-    p_sw.add_argument("--x", help="batch sizes, comma separated")
-    p_sw.add_argument("--l", type=int, default=64)
+    flags = dict.fromkeys(n for k in tracegen.KERNELS.values() for n in ("n", *k.sweep_flags))
+    for name in flags:
+        p_sw.add_argument(f"--{name}", help="range: 'a,b,c' or 'a..b' (doubling) or 'a..b:step'")
+    p_sw.add_argument("--l", type=int, help="sequence length for gqa (default 64)")
     p_sw.add_argument("--q", help="group sizes: comma list or '1..h' for all divisors")
     p_sw.add_argument("--heads", "--h", dest="heads", help="head counts, comma separated")
     p_sw.add_argument("--budget", type=float, help="DMD budget for gqa sweeps")
@@ -96,13 +96,14 @@ def _build_parser() -> _Parser:
     mode.add_argument("--model", dest="mode", action="store_const", const="model")
     mode.add_argument("--measure", dest="mode", action="store_const", const="measure")
     mode.add_argument("--both", dest="mode", action="store_const", const="both")
-    p_sw.set_defaults(mode="model")
+    p_sw.set_defaults(run=cmd_sweep, mode="model", flags=(*flags, "l", "q", "heads", "budget"))
     p_sw.add_argument("--force", action="store_true",
                       help="lift the 1e7 accesses-per-point measurement budget")
     p_sw.add_argument("--out", required=True, help="output CSV path")
 
     p_ad = sub.add_parser("advise", help="recommend algorithmic parameters")
-    p_ad.set_defaults(run=cmd_advise)
+    p_ad.set_defaults(run=cmd_advise, flags=(
+        "n", "k", "c", "m", "pixels", "heads", "q", "l", "budget", "include_matmul"))
     p_ad.add_argument("kind", choices=("batch", "channels", "gqa-dim", "conv-vs-fft", "orientation"))
     p_ad.add_argument("--n", type=int)
     p_ad.add_argument("--k", type=int)
@@ -111,27 +112,36 @@ def _build_parser() -> _Parser:
     p_ad.add_argument("--pixels", type=float)
     p_ad.add_argument("--heads", type=int)
     p_ad.add_argument("--q", type=int)
-    p_ad.add_argument("--l", type=int, default=64)
+    p_ad.add_argument("--l", type=int, help="sequence length (default 64)")
     p_ad.add_argument("--budget", type=float)
-    p_ad.add_argument("--include-matmul", action="store_true")
+    p_ad.add_argument("--include-matmul", action="store_true", default=None)
 
     return parser
 
 
-def _need(args, *names) -> dict:
-    """Values of the named flags, all required; --n stands for --h and --w."""
-    values = {name: getattr(args, name, None) for name in names}
-    if "h" in values and args.n is not None:
-        values["h"] = values["w"] = args.n
+def _need(args, subject: str, names, optional=None) -> dict:
+    """Values of the flags `names`, all required, then of `optional`'s, each
+    its default where not given; --n stands for --h and --w.  Any other of the
+    subcommand's parameter `flags` given is refused: `subject` does not take it."""
+    optional = optional or {}
+    given = {name: value for name in args.flags if (value := getattr(args, name)) is not None}
+    taken = {*names, *optional, *(("n",) if "h" in names else ())}
+    extra = [name for name in given if name not in taken]
+    if extra:
+        raise ValidationError(f"{subject} does not take "
+                              + ", ".join(f"--{name}" for name in extra).replace("_", "-"))
+    values = {name: given.get(name) for name in names}
+    if "h" in values and "n" in given:
+        values["h"] = values["w"] = given["n"]
     missing = [name for name, value in values.items() if value is None]
     if missing:
         raise ValidationError("missing required flag(s): " + ", ".join(f"--{n}" for n in missing))
-    return values
+    return values | {name: given.get(name, default) for name, default in optional.items()}
 
 
 def _gen_spec(args) -> tracegen.GenSpec:
     kernel = tracegen.KERNELS[args.alg]
-    values = _need(args, *kernel.param_names)
+    values = _need(args, args.alg, kernel.param_names)
     return tracegen.GenSpec(args.alg, kernel.params(*values.values()))
 
 
@@ -174,6 +184,13 @@ def _generic(model):
     return lambda *values: _record(model(*values))
 
 
+def _traced(alg: str, desc: str) -> tuple:
+    """A traced kernel's model entry: its record's fields as flags, evaluated
+    through the record, whose kept `result` is its model's."""
+    kernel = tracegen.KERNELS[alg]
+    return kernel.param_names, lambda *values: _record(kernel.params(*values).result), desc
+
+
 def _fft_components(n: int) -> dict:
     res = models.model_fft_components(n)
     return {
@@ -206,14 +223,10 @@ def _transformer(layers: int, l: int, d: int, f: int) -> dict:
 
 # name -> (flags, evaluation of the flag values, --list help)
 MODELS = {
-    "matmul": (("m", "n", "l"), _generic(models.model_matmul),
-               "m * (n l)^1.5 for an m*n by n*l product (flags: --m --n --l)"),
-    "conv": (("h", "w", "k"), _generic(models.model_conv),
-             "spatial convolution breakdown and asymptotic (flags: --n | --h --w, --k)"),
-    "batchconv": (("n", "k", "c", "x"), _generic(models.model_batched),
-                  "batched convolution total (flags: --n --k --c --x)"),
-    "im2col": (("n", "k"), _generic(models.model_im2col),
-               "im2col convolution total (flags: --n --k)"),
+    "matmul": _traced("matmul", "m * (n l)^1.5 for an m*n by n*l product (flags: --m --n --l)"),
+    "conv": _traced("conv", "spatial convolution breakdown and asymptotic (flags: --n | --h --w, --k)"),
+    "batchconv": _traced("batchconv", "batched convolution total (flags: --n --k --c --x)"),
+    "im2col": _traced("im2col", "im2col convolution total (flags: --n --k)"),
     "blockedconv": (("n", "k", "b"), _generic(models.model_blocked_conv),
                     "convolution in b-element cache blocks, idealised /sqrt(b); "
                     "does not track analyze --block (flags: --n --k --b)"),
@@ -248,7 +261,7 @@ def cmd_model(args) -> int:
             print(f"  {name}", file=sys.stderr)
         return EXIT_USAGE
     flags, evaluate, _ = MODELS[args.name]
-    params = _need(args, *flags)
+    params = _need(args, args.name, flags)
     out = {"formula": args.name, "params": params, **evaluate(*params.values())}
     print(json.dumps(out, indent=2))
     return EXIT_OK
@@ -285,14 +298,14 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _gqa_rows(args) -> tuple[list[dict], list[str]]:
-    _need(args, "budget", "heads")
+    p = _need(args, "gqa", ("budget", "heads"), {"q": None, "l": 64})
     rows = []
-    for h in _parse_range(args.heads):
-        group_sizes = range(1, h + 1) if args.q in (None, "1..h") else _parse_range(args.q)
+    for h in _parse_range(p["heads"]):
+        group_sizes = range(1, h + 1) if p["q"] in (None, "1..h") else _parse_range(p["q"])
         for q in [x for x in group_sizes if x > 0 and h % x == 0]:
-            res = advisor.advise_gqa_dim(args.budget, h, q, l=args.l)
+            res = advisor.advise_gqa_dim(p["budget"], h, q, l=p["l"])
             rows.append(
-                {"h": h, "q": q, "l": args.l, "budget": args.budget,
+                {"h": h, "q": q, "l": p["l"], "budget": p["budget"],
                  "d": res.d, "asymptotic_d": res.asymptotic_d}
             )
     return rows, ["h", "q", "l", "budget", "d", "asymptotic_d"]
@@ -304,16 +317,16 @@ def _sweep_points(args) -> tuple[list[dict], list[str]]:
             raise ValidationError("gqa has no trace to measure; sweep it with --model")
         return _gqa_rows(args)
     kernel = tracegen.KERNELS[args.alg]
-    n_values = _parse_range(_need(args, "n")["n"])
-    flags = _need(args, *kernel.sweep_flags)
-    # a flag given as a string is a range swept with n
-    ranges = [_parse_range(v) if isinstance(v, str) else [v] for v in flags.values()]
-    header = ["n", *flags]
+    ranges = {name: _parse_range(text)
+              for name, text in _need(args, args.alg, ("n", *kernel.sweep_flags)).items()}
+    n_values = ranges.pop("n")
+    header = ["n", *ranges]
     rows, specs = [], []
     for n in n_values:
-        for values in itertools.product(*ranges):
-            params = kernel.square(n, *values)
-            rows.append({"n": n, **dict(zip(flags, values)), **kernel.model(params)})
+        for values in itertools.product(*ranges.values()):
+            flags = dict(zip(ranges, values))
+            params = kernel.point(n, flags)
+            rows.append({"n": n, **flags, **kernel.model(params)})
             specs.append(tracegen.GenSpec(args.alg, params))
     columns = list(header)
     if args.mode in ("model", "both"):
@@ -324,7 +337,6 @@ def _sweep_points(args) -> tuple[list[dict], list[str]]:
         columns += ["ratio"]
 
     if args.mode in ("measure", "both"):
-        plans = []
         for row, spec in zip(rows, specs):
             count = tracegen.access_count(spec)
             if count > SWEEP_ACCESS_BUDGET and not args.force:
@@ -335,9 +347,8 @@ def _sweep_points(args) -> tuple[list[dict], list[str]]:
                 )
             rule = tracegen.prefix_rule(spec)
             tracegen.check_memory(tracegen.access_count(rule[0]) if rule else count, ANALYSIS_BYTES)
-            plans.append((spec, rule, count))
-        for row, plan in zip(rows, plans):
-            row["measured"] = _measure(*plan).reuse_dmd
+        for row, spec in zip(rows, specs):
+            row["measured"] = measure(spec).reuse_dmd
             total = row["model_total"]
             row["ratio"] = row["measured"] / total if total else math.nan
     return rows, columns
@@ -357,31 +368,26 @@ def cmd_sweep(args) -> int:
 def cmd_advise(args) -> int:
     kind = args.kind
     if kind == "batch":
-        _need(args, "n", "k", "c")
-        res = advisor.advise_batch(args.n, args.k, args.c)
+        res = advisor.advise_batch(**_need(args, kind, ("n", "k", "c")))
         out = {"kind": kind, "recommended_x": res.recommended,
                "costs": {str(x): v for x, v in res.costs.items()}}
     elif kind == "channels":
-        _need(args, "n", "k")
-        c_star = advisor.crossover_channels(args.n, args.k)
+        n, k = _need(args, kind, ("n", "k")).values()
+        c_star = advisor.crossover_channels(n, k)
         out = {"kind": kind, "crossover_c": c_star,
-               "cost_below": models.model_batched(args.n, args.k, c_star - 1, c_star - 1).total
+               "cost_below": models.model_batched(n, k, c_star - 1, c_star - 1).total
                if c_star > 2 else None,
                "note": f"single-batch processing beats unbatched below c={c_star}"}
     elif kind == "gqa-dim":
-        _need(args, "budget", "heads", "q")
-        res = advisor.advise_gqa_dim(
-            args.budget, args.heads, args.q, l=args.l,
-            include_matmul=args.include_matmul)
+        res = advisor.advise_gqa_dim(*_need(args, kind, ("budget", "heads", "q"),
+                                            {"l": 64, "include_matmul": False}).values())
         out = {"kind": kind, **asdict(res)}
     elif kind == "conv-vs-fft":
-        _need(args, "n", "k")
-        res = advisor.compare_conv_fft(args.n, args.k)
+        res = advisor.compare_conv_fft(**_need(args, kind, ("n", "k")))
         out = {"kind": kind, "recommended": res.recommended,
                "costs": res.costs, "notes": list(res.notes)}
     else:  # orientation
-        _need(args, "m")
-        res = advisor.orientation_ratio(args.m, args.pixels, args.k)
+        res = advisor.orientation_ratio(**_need(args, kind, ("m",), {"pixels": None, "k": None}))
         out = {"kind": kind,
                "square_over_portrait": res.square_over_portrait,
                "landscape_over_portrait": res.landscape_over_portrait,

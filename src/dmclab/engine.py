@@ -591,14 +591,11 @@ def measure(spec: tracegen.GenSpec) -> DmdReport:
     Without a declared prefix the full trace is generated, and
     `analyze_trace` counts a tail that it verifies to repeat once.
     """
-    return _measure(spec, tracegen.prefix_rule(spec), tracegen.access_count(spec))
-
-
-def _measure(spec: tracegen.GenSpec, rule: Optional[tuple], n_accesses: int) -> DmdReport:
-    """`measure(spec)`, given its prefix rule and access count."""
+    rule = tracegen.prefix_rule(spec)
     if rule is None:
         return analyze_trace(tracegen.generate(spec))
     prefix, tau = rule
+    n_accesses = tracegen.access_count(spec)
     if n_accesses >= 2**63:
         raise ValidationError(f"the trace has {n_accesses} accesses; a report counts fewer than 2**63")
     counts = _fold_tail(*_reuse_distances(_block_ids(tracegen.generate(prefix), 1)), n_accesses, tau)

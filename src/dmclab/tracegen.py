@@ -125,13 +125,12 @@ class GenSpec:
 class Kernel:
     """Everything dmclab knows about one traced algorithm.
 
-    params: parameter record; its fields, in order, are the generator's
-      arguments and the flags `dmclab gen` reads.
-    sweep_flags: flags a sweep point takes besides the swept size n;
-      a flag given as a string (batchconv's --x) is swept as a range too.
-    square: (n, *sweep flag values) -> params of the square sweep point.
-    model: params -> the sweep's model columns, including model_total,
-      read from the record's kept `result` where its own model gives them.
+    params: parameter record; its fields, in order (`param_names`), are
+      the generator's arguments and the flags `dmclab gen` takes, and
+      `dmclab model`'s where it names the kernel, which reads the
+      record's kept `result`.
+    sweep_flags: flags a sweep point takes besides the swept size n, each
+      a range swept with n; a point's other fields are n (`point`).
     loops: an affine kernel's declaration, fields -> (objects, body),
       from which its generator and count follow (`_interpret`, `_count`).
     prefix: params -> the record of a prefix, or None when nothing
@@ -144,28 +143,31 @@ class Kernel:
       kernel declares one only where a test shows equality.  A trace that
       is generated anyway needs none, because `engine.analyze_trace`
       finds and verifies a repeating tail in the trace itself.
+    model: params -> the sweep's model columns, by default model_total
+      read off the record's kept `result`.
     generator, count: the trace, from the fields, and its exact length,
       at which the generator allocates it.  Only a kernel that is not
       declared as loops (the FFTs) gives them.
     """
 
     params: type
-    sweep_flags: tuple[str, ...]
-    square: Callable[..., object]
-    model: Callable[[object], dict]
+    sweep_flags: tuple[str, ...] = ()
     loops: Optional[Callable[..., tuple]] = None
     prefix: Callable[[object], Optional[object]] = lambda params: None
+    model: Callable[[object], dict] = lambda p: {"model_total": getattr(p.result, "total", p.result)}
     generator: Optional[Callable[..., Trace]] = None
     count: Optional[Callable[..., int]] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "param_names", tuple(f.name for f in fields(self.params)))
         if self.loops is not None:
             object.__setattr__(self, "generator", lambda *args: _interpret(*self.loops(*args)))
             object.__setattr__(self, "count", lambda *args: _count(self.loops(*args)[1]))
 
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(self.params))
+    def point(self, n: int, flags: dict) -> object:
+        """The record of a sweep point: each field its sweep flag's value in
+        `flags` where the kernel names one, else the swept size n."""
+        return self.params(*[flags.get(name, n) for name in self.param_names])
 
 
 def check_memory(count: int, per_access: int = ACCESS_BYTES) -> None:
@@ -498,28 +500,21 @@ def gen_fft_conv2d(n: int) -> Trace:
 
 KERNELS = {
     "matmul": Kernel(
-        MatmulParams, (), lambda n: MatmulParams(n, n, n),
-        lambda p: {"model_total": p.result},
-        _matmul_loops, lambda p: MatmulParams(2, p.n, p.l) if p.m > 2 else None),
+        MatmulParams, (), _matmul_loops, lambda p: MatmulParams(2, p.n, p.l) if p.m > 2 else None),
     "conv": Kernel(
-        ConvParams, ("k",), lambda n, k: ConvParams(n, n, k),
-        lambda p: {"model_total": p.result.total, "model_asymptotic": p.result.asymptotic},
-        _conv_loops, lambda p: ConvParams(p.k + 2, p.w, p.k) if p.h - p.k + 1 > 3 else None),
-    "im2col": Kernel(
-        Im2colParams, ("k",), Im2colParams,
-        lambda p: {"model_total": p.result.total},
-        _im2col_loops),
+        ConvParams, ("k",), _conv_loops,
+        lambda p: ConvParams(p.k + 2, p.w, p.k) if p.h - p.k + 1 > 3 else None,
+        lambda p: {"model_total": p.result.total, "model_asymptotic": p.result.asymptotic}),
+    "im2col": Kernel(Im2colParams, ("k",), _im2col_loops),
     "batchconv": Kernel(
-        BatchParams, ("k", "c", "x"), BatchParams,
-        lambda p: {"model_total": p.result.total},
-        _batchconv_loops, lambda p: BatchParams(p.n, p.k, 2 * p.x, p.x) if p.c // p.x > 2 else None),
+        BatchParams, ("k", "c", "x"), _batchconv_loops,
+        lambda p: BatchParams(p.n, p.k, 2 * p.x, p.x) if p.c // p.x > 2 else None),
     "fft": Kernel(
-        FftParams, (), FftParams,
-        lambda p: {"model_lower": p.result[0], "model_upper": p.result[1], "model_total": p.result[0]},
+        FftParams,
+        model=lambda p: {"model_lower": p.result[0], "model_upper": p.result[1], "model_total": p.result[0]},
         generator=gen_fft, count=_fft_access_count),
     "fftconv2d": Kernel(
-        FftParams, (), FftParams,
-        lambda p: {"model_total": models.model_fftconv_lower(p.n)},
+        FftParams, model=lambda p: {"model_total": models.model_fftconv_lower(p.n)},
         generator=gen_fft_conv2d, count=_fftconv2d_count),
 }
 

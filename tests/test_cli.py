@@ -462,3 +462,95 @@ def test_advise_orientation_bad_pixels_or_k_exit_two(capsys, flags):
 
 def test_advise_missing_flags_exit_two(capsys):
     assert run(capsys, "advise", "batch", "--n", "64")[0] == 2
+
+
+# a valid set of flags for each kernel, model and advice kind
+GEN_BASE = {"matmul": "--m 2 --n 2 --l 2", "conv": "--n 4 --k 2", "im2col": "--n 4 --k 2",
+            "batchconv": "--n 4 --k 2 --c 2 --x 1", "fft": "--n 4", "fftconv2d": "--n 4"}
+MODEL_BASE = {"matmul": "--m 2 --n 2 --l 2", "conv": "--n 8 --k 3",
+              "batchconv": "--n 8 --k 3 --c 2 --x 1", "im2col": "--n 8 --k 3",
+              "blockedconv": "--n 8 --k 3 --b 2", "fftcomponents": "--n 8", "fftbounds": "--n 8",
+              "fftconv": "--n 8", "attention": "--l 8 --d 8 --heads 2", "mha": "--l 8 --d 8 --heads 2",
+              "gqa": "--l 8 --d 8 --heads 2 --q 1", "transformer": "--layers 1 --l 4 --d 4 --f 4",
+              "cold": "--m 8"}
+# advice kind -> (a valid set of flags, the flags it takes)
+ADVISE = {"batch": ("--n 64 --k 3 --c 4", {"n", "k", "c"}),
+          "channels": ("--n 64 --k 3", {"n", "k"}),
+          "gqa-dim": ("--budget 1e5 --heads 8 --q 2", {"budget", "heads", "q", "l", "include_matmul"}),
+          "conv-vs-fft": ("--n 64 --k 3", {"n", "k"}),
+          "orientation": ("--m 2", {"m", "pixels", "k"})}
+# every option of a subcommand that is not a parameter
+NOT_PARAMETERS = {"help", "alg", "out", "list", "mode", "force"}
+
+
+def parameter_flags(command):
+    """The subcommand's `flags`, checked to be all its parameter options."""
+    sub = cli._build_parser()._subparsers._group_actions[0].choices[command]
+    options = {action.dest for action in sub._actions if action.option_strings}
+    assert set(sub.get_default("flags")) == options - NOT_PARAMETERS
+    return sub.get_default("flags")
+
+
+def given(flag):
+    return [f"--{flag.replace('_', '-')}"] + ([] if flag == "include_matmul" else ["3"])
+
+
+def refused(capsys, subject, flag, *argv):
+    code, out, err = run(capsys, *argv, *given(flag))
+    assert (code, out) == (2, "")
+    assert err == f"dmclab: {subject} does not take --{flag.replace('_', '-')}\n"
+
+
+@pytest.mark.parametrize("alg,flag", [
+    (alg, flag) for alg, kernel in tracegen.KERNELS.items() for flag in parameter_flags("gen")
+    if flag not in kernel.param_names and not (flag == "n" and "h" in kernel.param_names)])
+def test_gen_refuses_flags_its_kernel_does_not_take(tmp_path, capsys, alg, flag):
+    out_path = tmp_path / "t.dmt"
+    refused(capsys, alg, flag, "gen", "--alg", alg, *GEN_BASE[alg].split(), "--out", str(out_path))
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("alg,flag", [
+    (alg, flag) for alg, kernel in [*tracegen.KERNELS.items(), ("gqa", None)]
+    for flag in parameter_flags("sweep")
+    if flag not in (("heads", "budget", "q", "l") if kernel is None else ("n", *kernel.sweep_flags))])
+def test_sweep_refuses_flags_its_kernel_does_not_take(tmp_path, capsys, alg, flag):
+    base = (["--heads", "8", "--budget", "1e5"] if alg == "gqa" else
+            ["--n", "4", *(a for name in tracegen.KERNELS[alg].sweep_flags for a in (f"--{name}", "1"))])
+    out_path = tmp_path / "s.csv"
+    refused(capsys, alg, flag, "sweep", "--alg", alg, *base, "--out", str(out_path))
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("name,flag", [
+    (name, flag) for name, (names, _, _) in cli.MODELS.items() for flag in parameter_flags("model")
+    if flag not in names and not (flag == "n" and "h" in names)])
+def test_model_refuses_flags_it_does_not_take(capsys, name, flag):
+    refused(capsys, name, flag, "model", name, *MODEL_BASE[name].split())
+
+
+@pytest.mark.parametrize("kind,flag", [
+    (kind, flag) for kind, (_, takes) in ADVISE.items() for flag in parameter_flags("advise")
+    if flag not in takes])
+def test_advise_refuses_flags_its_kind_does_not_take(capsys, kind, flag):
+    refused(capsys, kind, flag, "advise", kind, *ADVISE[kind][0].split())
+
+
+def test_every_base_of_the_refusal_tests_is_valid(tmp_path, capsys):
+    for alg, flags in GEN_BASE.items():
+        assert run(capsys, "gen", "--alg", alg, *flags.split(), "--out", str(tmp_path / "t.dmt"))[0] == 0
+    assert set(MODEL_BASE) == set(cli.MODELS)
+    for name, flags in MODEL_BASE.items():
+        assert run(capsys, "model", name, *flags.split())[0] == 0, name
+    for kind, (flags, _) in ADVISE.items():
+        assert run(capsys, "advise", kind, *flags.split())[0] == 0, kind
+
+
+def test_sweep_over_a_kernel_flag_range_is_the_single_value_sweeps(tmp_path, capsys):
+    def rows(k):
+        out_path = tmp_path / f"k{k}.csv"
+        assert run(capsys, "sweep", "--alg", "conv", "--n", "8,16", "--k", k, "--both",
+                   "--out", str(out_path))[0] == 0
+        return csv_rows(out_path)
+
+    assert rows("3,5") == sorted(rows("3") + rows("5"), key=lambda row: int(row["n"]))

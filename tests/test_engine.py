@@ -354,17 +354,17 @@ def test_measure_equals_full_trace_report(spec):
 
 # the sweeps of the benchmark's sweep_small workload, as (kernel, n values, sweep flags)
 SWEEP_SMALL = [
-    ("conv", range(8, 65, 8), [(3,)]),
-    ("matmul", range(4, 33, 4), [()]),
-    ("im2col", range(8, 49, 8), [(3,)]),
-    ("batchconv", (16, 32), [(3, 8, x) for x in (1, 2, 4, 8)]),
-    ("fft", [2**i for i in range(1, 13)], [()]),
-    ("fftconv2d", (2, 4, 8, 16), [()]),
+    ("conv", range(8, 65, 8), [{"k": 3}]),
+    ("matmul", range(4, 33, 4), [{}]),
+    ("im2col", range(8, 49, 8), [{"k": 3}]),
+    ("batchconv", (16, 32), [{"k": 3, "c": 8, "x": x} for x in (1, 2, 4, 8)]),
+    ("fft", [2**i for i in range(1, 13)], [{}]),
+    ("fftconv2d", (2, 4, 8, 16), [{}]),
 ]
 
 
 def test_measure_equals_full_trace_report_on_sweep_points():
-    specs = [GenSpec(alg, KERNELS[alg].square(n, *flags))
+    specs = [GenSpec(alg, KERNELS[alg].point(n, flags))
              for alg, ns, flag_sets in SWEEP_SMALL for n in ns for flags in flag_sets]
     assert len(specs) == 46
     assert sum(tracegen.prefix_rule(spec) is not None for spec in specs) == 20
@@ -482,7 +482,7 @@ def test_measure_refuses_counts_beyond_64_bits():
 
 def test_every_object_of_a_periodic_kernel_is_touched():
     # so per_object's sizes follow from the parameters alone
-    specs = [GenSpec(alg, KERNELS[alg].square(n, *flags)) for alg, ns, flag_sets in SWEEP_SMALL
+    specs = [GenSpec(alg, KERNELS[alg].point(n, flags)) for alg, ns, flag_sets in SWEEP_SMALL
              if alg in ("matmul", "conv", "batchconv") for n in ns for flags in flag_sets]
     specs += [GenSpec("matmul", MatmulParams(m, n, l)) for m, n, l in ((30, 17, 13), (1, 1, 1), (19, 32, 2))]
     specs += [GenSpec("conv", ConvParams(h, w, k)) for h, w, k in ((17, 23, 5), (50, 3, 3), (4, 4, 4))]

@@ -422,3 +422,27 @@ def test_fftconv2d_equals_a_call_by_call_recursion(n):
         accesses += [ker[r][c], img[r][c], (prod, r * n + c)]
     transform2d(prod, "P")
     assert _trace_lists(gen_fft_conv2d(n)) == (names, sizes, accesses)
+
+
+# each kernel's square sweep point, spelled out per kernel: the reference for `Kernel.point`
+SQUARE = {
+    "matmul": lambda n: MatmulParams(n, n, n),
+    "conv": lambda n, k: ConvParams(n, n, k),
+    "im2col": Im2colParams,
+    "batchconv": BatchParams,
+    "fft": FftParams,
+    "fftconv2d": FftParams,
+}
+
+
+def test_sweep_point_is_each_kernels_square_point():
+    grid = {"k": (1, 2, 3), "c": (2, 4, 6), "x": (1, 2)}
+    checked = 0
+    for alg, kernel in KERNELS.items():
+        for n in (4, 8, 16):
+            for values in itertools.product(*(grid[name] for name in kernel.sweep_flags)):
+                point = kernel.point(n, dict(zip(kernel.sweep_flags, values)))
+                square = SQUARE[alg](n, *values)
+                assert (type(point), point) == (type(square), square)
+                checked += 1
+    assert checked == 3 * (1 + 3 + 3 + 18 + 1 + 1)
