@@ -116,22 +116,27 @@ def _build_parser() -> _Parser:
     p_ad.add_argument("--budget", type=float)
     p_ad.add_argument("--include-matmul", action="store_true", default=None)
 
+    for p in (p_gen, p_mod, p_sw, p_ad):  # each parameter flag by its spellings, for refusals
+        spelling = {action.dest: "/".join(action.option_strings) for action in p._actions}
+        p.set_defaults(flags={name: spelling[name] for name in p.get_default("flags")})
     return parser
 
 
 def _need(args, subject: str, names, optional=None) -> dict:
     """Values of the flags `names`, all required, then of `optional`'s, each
-    its default where not given; --n stands for --h and --w.  Any other of the
-    subcommand's parameter `flags` given is refused: `subject` does not take it."""
+    its default where not given; --n stands for --h and --w, never with them.
+    Any other parameter flag of the subcommand given is refused, by each of its
+    spellings in `flags`: `subject` does not take it."""
     optional = optional or {}
     given = {name: value for name in args.flags if (value := getattr(args, name)) is not None}
     taken = {*names, *optional, *(("n",) if "h" in names else ())}
     extra = [name for name in given if name not in taken]
     if extra:
-        raise ValidationError(f"{subject} does not take "
-                              + ", ".join(f"--{name}" for name in extra).replace("_", "-"))
+        raise ValidationError(f"{subject} does not take " + ", ".join(args.flags[name] for name in extra))
     values = {name: given.get(name) for name in names}
     if "h" in values and "n" in given:
+        if clash := [args.flags[name] for name in ("h", "w") if name in given]:
+            raise ValidationError(f"{subject} does not take --n with " + ", ".join(clash))
         values["h"] = values["w"] = given["n"]
     missing = [name for name, value in values.items() if value is None]
     if missing:
@@ -167,7 +172,9 @@ def cmd_analyze(args) -> int:
 
 
 def _record(result) -> dict:
-    """A model's result as `terms`, `clamped` (if it has one) and `total`."""
+    """A model's result as `terms`, `clamped` (if it has one) and `total`; a dict as it is."""
+    if isinstance(result, dict):
+        return result
     if not is_dataclass(result):
         return {"total": result}
     terms = {f.name: getattr(result, f.name) for f in fields(result)}
@@ -180,15 +187,9 @@ def _record(result) -> dict:
     return out
 
 
-def _generic(model):
-    return lambda *values: _record(model(*values))
-
-
 def _traced(alg: str, desc: str) -> tuple:
-    """A traced kernel's model entry: its record's fields as flags, evaluated
-    through the record, whose kept `result` is its model's."""
-    kernel = tracegen.KERNELS[alg]
-    return kernel.param_names, lambda *values: _record(kernel.params(*values).result), desc
+    """A traced kernel's model entry: its record's fields as flags, and its model."""
+    return tracegen.KERNELS[alg].param_names, tracegen.KERNELS[alg].model, desc
 
 
 def _fft_components(n: int) -> dict:
@@ -221,13 +222,13 @@ def _transformer(layers: int, l: int, d: int, f: int) -> dict:
             "total": res.forward_total}
 
 
-# name -> (flags, evaluation of the flag values, --list help)
+# name -> (flags, model or evaluation of the flag values, --list help)
 MODELS = {
     "matmul": _traced("matmul", "m * (n l)^1.5 for an m*n by n*l product (flags: --m --n --l)"),
     "conv": _traced("conv", "spatial convolution breakdown and asymptotic (flags: --n | --h --w, --k)"),
     "batchconv": _traced("batchconv", "batched convolution total (flags: --n --k --c --x)"),
     "im2col": _traced("im2col", "im2col convolution total (flags: --n --k)"),
-    "blockedconv": (("n", "k", "b"), _generic(models.model_blocked_conv),
+    "blockedconv": (("n", "k", "b"), models.model_blocked_conv,
                     "convolution in b-element cache blocks, idealised /sqrt(b); "
                     "does not track analyze --block (flags: --n --k --b)"),
     "fftcomponents": (("n",), _fft_components,
@@ -240,13 +241,13 @@ MODELS = {
     "attention": (("l", "d", "heads"), _attention,
                   "single-head and multi-head attention (flags: --l --d --heads)"),
     "mha": (("l", "d", "heads"),
-            lambda *values: {"total": models.model_attention(*values).mha_cost},
+            lambda *values: models.model_attention(*values).mha_cost,
             "multi-head attention cost l d^3 (flags: --l --d --heads)"),
-    "gqa": (("l", "d", "heads", "q"), _generic(models.model_gqa),
+    "gqa": (("l", "d", "heads", "q"), models.model_gqa,
             "grouped-query attention breakdown (flags: --l --d --heads --q)"),
     "transformer": (("layers", "l", "d", "f"), _transformer,
                     "decoder stage table and forward total (flags: --layers --l --d --f)"),
-    "cold": (("m",), _generic(models.model_cold), "cold-miss bound m^1.5 (flags: --m)"),
+    "cold": (("m",), models.model_cold, "cold-miss bound m^1.5 (flags: --m)"),
 }
 
 
@@ -262,7 +263,7 @@ def cmd_model(args) -> int:
         return EXIT_USAGE
     flags, evaluate, _ = MODELS[args.name]
     params = _need(args, args.name, flags)
-    out = {"formula": args.name, "params": params, **evaluate(*params.values())}
+    out = {"formula": args.name, "params": params, **_record(evaluate(*params.values()))}
     print(json.dumps(out, indent=2))
     return EXIT_OK
 
@@ -325,9 +326,9 @@ def _sweep_points(args) -> tuple[list[dict], list[str]]:
     for n in n_values:
         for values in itertools.product(*ranges.values()):
             flags = dict(zip(ranges, values))
-            params = kernel.point(n, flags)
-            rows.append({"n": n, **flags, **kernel.model(params)})
-            specs.append(tracegen.GenSpec(args.alg, params))
+            spec = tracegen.GenSpec(args.alg, kernel.point(n, flags))
+            rows.append({"n": n, **flags, **kernel.columns(spec.result)})
+            specs.append(spec)
     columns = list(header)
     if args.mode in ("model", "both"):
         columns += sorted({col for row in rows for col in row} - set(header))
@@ -369,8 +370,7 @@ def cmd_advise(args) -> int:
     kind = args.kind
     if kind == "batch":
         res = advisor.advise_batch(**_need(args, kind, ("n", "k", "c")))
-        out = {"kind": kind, "recommended_x": res.recommended,
-               "costs": {str(x): v for x, v in res.costs.items()}}
+        out = {"kind": kind, "recommended_x": res.recommended, "costs": res.costs}
     elif kind == "channels":
         n, k = _need(args, kind, ("n", "k")).values()
         c_star = advisor.crossover_channels(n, k)
@@ -378,20 +378,15 @@ def cmd_advise(args) -> int:
                "cost_below": models.model_batched(n, k, c_star - 1, c_star - 1).total
                if c_star > 2 else None,
                "note": f"single-batch processing beats unbatched below c={c_star}"}
-    elif kind == "gqa-dim":
-        res = advisor.advise_gqa_dim(*_need(args, kind, ("budget", "heads", "q"),
-                                            {"l": 64, "include_matmul": False}).values())
+    else:
+        if kind == "gqa-dim":
+            res = advisor.advise_gqa_dim(*_need(args, kind, ("budget", "heads", "q"),
+                                                {"l": 64, "include_matmul": False}).values())
+        elif kind == "conv-vs-fft":
+            res = advisor.compare_conv_fft(**_need(args, kind, ("n", "k")))
+        else:  # orientation
+            res = advisor.orientation_ratio(**_need(args, kind, ("m",), {"pixels": None, "k": None}))
         out = {"kind": kind, **asdict(res)}
-    elif kind == "conv-vs-fft":
-        res = advisor.compare_conv_fft(**_need(args, kind, ("n", "k")))
-        out = {"kind": kind, "recommended": res.recommended,
-               "costs": res.costs, "notes": list(res.notes)}
-    else:  # orientation
-        res = advisor.orientation_ratio(**_need(args, kind, ("m",), {"pixels": None, "k": None}))
-        out = {"kind": kind,
-               "square_over_portrait": res.square_over_portrait,
-               "landscape_over_portrait": res.landscape_over_portrait,
-               "dominant_costs": res.dominant_costs}
     print(json.dumps(out, indent=2))
     return EXIT_OK
 

@@ -70,6 +70,7 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Optional, Sequence
 
 from dmclab import tracegen
 from dmclab.core import (
+    ANALYSIS_BYTES,
     AnalysisConfig,
     DmdReport,
     LayoutTable,
@@ -540,9 +541,10 @@ def analyze_trace(
 ) -> DmdReport:
     """Measure a trace: block keys under its own layout, their reuse
     distances by `engine` ('fast' or 'oracle'), the fold into a report,
-    then scaling to the element width."""
+    then scaling to the element width; refused beyond physical memory."""
     import numpy as np
 
+    tracegen.check_memory(len(trace), ANALYSIS_BYTES)
     if engine not in ("fast", "oracle"):
         raise ValidationError(f"unknown engine {engine!r}; expected 'fast' or 'oracle'")
     b = config.block_size

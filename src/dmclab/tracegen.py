@@ -7,11 +7,12 @@ traced; result writes are.  Object declaration order is inputs first,
 temporaries in creation order, outputs last, which fixes the memory
 layout (build_layout) under which `analyze --block` measures blocks.
 
-A parameter record's rule is its model's: constructing a record
-evaluates the model, which raises ValidationError on an invalid set.
-Every record that exists is valid, so generators trust their arguments.
-The record keeps that evaluation as its `result` attribute, outside its
-fields, so sweeps read the model columns without evaluating it again.
+A parameter record is plain data; its rule is its kernel's model's.
+Constructing a `GenSpec` evaluates the model, which raises
+ValidationError on an invalid set, so every spec that exists is valid
+and generators trust their arguments.  The spec keeps that evaluation
+as its `result`, so sweeps read the model columns without evaluating
+the model again.
 
 Every generator allocates its two columns at the trace's exact length
 first (`_allocate`, which refuses a length beyond physical memory), then
@@ -45,17 +46,12 @@ generating the full trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from dmclab import models
 from dmclab.core import ACCESS_BYTES, ObjectTable, Trace, ValidationError, physical_memory
-
-
-def _keep(record, result) -> None:
-    """Store a record's model evaluation beside its fields."""
-    object.__setattr__(record, "result", result)
 
 
 @dataclass(frozen=True)
@@ -64,18 +60,12 @@ class MatmulParams:
     n: int
     l: int
 
-    def __post_init__(self):
-        _keep(self, models.model_matmul(self.m, self.n, self.l))
-
 
 @dataclass(frozen=True)
 class ConvParams:
     h: int
     w: int
     k: int
-
-    def __post_init__(self):
-        _keep(self, models.model_conv(self.h, self.w, self.k))
 
 
 @dataclass(frozen=True)
@@ -85,50 +75,47 @@ class BatchParams:
     c: int
     x: int
 
-    def __post_init__(self):
-        _keep(self, models.model_batched(self.n, self.k, self.c, self.x))
-
 
 @dataclass(frozen=True)
 class Im2colParams:
     n: int
     k: int
 
-    def __post_init__(self):
-        _keep(self, models.model_im2col(self.n, self.k))
-
 
 @dataclass(frozen=True)
 class FftParams:
     n: int
 
-    def __post_init__(self):
-        _keep(self, models.model_fft_bounds(self.n))
-
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Algorithm tag plus its parameter record."""
+    """Algorithm tag plus its parameter record, valid by its kernel's model, whose result it keeps."""
 
     algorithm: str
     params: object
+    result: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.algorithm not in KERNELS:
+        kernel = KERNELS.get(self.algorithm)
+        if kernel is None:
             raise ValidationError(f"unknown algorithm {self.algorithm!r}")
-        if not isinstance(self.params, KERNELS[self.algorithm].params):
-            raise ValidationError(f"{self.algorithm} takes {KERNELS[self.algorithm].params.__name__}, "
+        if not isinstance(self.params, kernel.params):
+            raise ValidationError(f"{self.algorithm} takes {kernel.params.__name__}, "
                                   f"not {type(self.params).__name__}")
+        object.__setattr__(self, "result", kernel.model(*_values(self.params)))
 
 
 @dataclass(frozen=True)
 class Kernel:
     """Everything dmclab knows about one traced algorithm.
 
-    params: parameter record; its fields, in order (`param_names`), are
-      the generator's arguments and the flags `dmclab gen` takes, and
-      `dmclab model`'s where it names the kernel, which reads the
-      record's kept `result`.
+    params: parameter record, plain data; its fields, in order
+      (`param_names`), are the generator's and the model's arguments and
+      the flags `dmclab gen` takes, and `dmclab model`'s where it names
+      the kernel.
+    model: the kernel's closed-form model, fields -> its result; it
+      raises ValidationError on an invalid set, so it is the rule a
+      `GenSpec` checks, and the spec keeps its result.
     sweep_flags: flags a sweep point takes besides the swept size n, each
       a range swept with n; a point's other fields are n (`point`).
     loops: an affine kernel's declaration, fields -> (objects, body),
@@ -143,18 +130,19 @@ class Kernel:
       kernel declares one only where a test shows equality.  A trace that
       is generated anyway needs none, because `engine.analyze_trace`
       finds and verifies a repeating tail in the trace itself.
-    model: params -> the sweep's model columns, by default model_total
-      read off the record's kept `result`.
+    columns: the model's result -> the sweep's model columns, by default
+      model_total, the result's `total` or the result itself.
     generator, count: the trace, from the fields, and its exact length,
       at which the generator allocates it.  Only a kernel that is not
       declared as loops (the FFTs) gives them.
     """
 
     params: type
+    model: Callable[..., object]
     sweep_flags: tuple[str, ...] = ()
     loops: Optional[Callable[..., tuple]] = None
     prefix: Callable[[object], Optional[object]] = lambda params: None
-    model: Callable[[object], dict] = lambda p: {"model_total": getattr(p.result, "total", p.result)}
+    columns: Callable[[object], dict] = lambda result: {"model_total": getattr(result, "total", result)}
     generator: Optional[Callable[..., Trace]] = None
     count: Optional[Callable[..., int]] = None
 
@@ -214,7 +202,7 @@ def _write(columns: tuple, at: int, shape: tuple, *body) -> None:
 
 def _values(params) -> list:
     """A record's fields in order, read without astuple's deep copy."""
-    return [getattr(params, f.name) for f in fields(params)]
+    return list(vars(params).values())
 
 
 def generate(spec: GenSpec) -> Trace:
@@ -500,22 +488,22 @@ def gen_fft_conv2d(n: int) -> Trace:
 
 KERNELS = {
     "matmul": Kernel(
-        MatmulParams, (), _matmul_loops, lambda p: MatmulParams(2, p.n, p.l) if p.m > 2 else None),
+        MatmulParams, models.model_matmul, (), _matmul_loops,
+        lambda p: MatmulParams(2, p.n, p.l) if p.m > 2 else None),
     "conv": Kernel(
-        ConvParams, ("k",), _conv_loops,
+        ConvParams, models.model_conv, ("k",), _conv_loops,
         lambda p: ConvParams(p.k + 2, p.w, p.k) if p.h - p.k + 1 > 3 else None,
-        lambda p: {"model_total": p.result.total, "model_asymptotic": p.result.asymptotic}),
-    "im2col": Kernel(Im2colParams, ("k",), _im2col_loops),
+        lambda r: {"model_total": r.total, "model_asymptotic": r.asymptotic}),
+    "im2col": Kernel(Im2colParams, models.model_im2col, ("k",), _im2col_loops),
     "batchconv": Kernel(
-        BatchParams, ("k", "c", "x"), _batchconv_loops,
+        BatchParams, models.model_batched, ("k", "c", "x"), _batchconv_loops,
         lambda p: BatchParams(p.n, p.k, 2 * p.x, p.x) if p.c // p.x > 2 else None),
     "fft": Kernel(
-        FftParams,
-        model=lambda p: {"model_lower": p.result[0], "model_upper": p.result[1], "model_total": p.result[0]},
+        FftParams, models.model_fft_bounds,
+        columns=lambda r: {"model_lower": r[0], "model_upper": r[1], "model_total": r[0]},
         generator=gen_fft, count=_fft_access_count),
     "fftconv2d": Kernel(
-        FftParams, model=lambda p: {"model_total": models.model_fftconv_lower(p.n)},
-        generator=gen_fft_conv2d, count=_fftconv2d_count),
+        FftParams, models.model_fftconv_lower, generator=gen_fft_conv2d, count=_fftconv2d_count),
 }
 
 ALGORITHMS = tuple(KERNELS)

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, formats, and exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -254,6 +255,20 @@ def test_analyze_beyond_physical_memory_exit_two(tmp_path, capsys, monkeypatch):
     assert "more than this machine's" in err
 
 
+def test_analyze_beyond_physical_memory_for_its_analysis_exit_two(tmp_path, capsys, monkeypatch):
+    # the four accesses fit in memory as read, 16 B each, but not as analysed
+    from dmclab import core
+
+    monkeypatch.setattr(core, "physical_memory", lambda: 20 * 4)
+    monkeypatch.setattr(tracegen, "physical_memory", lambda: 20 * 4)
+    path = tmp_path / "t.dmt"
+    path.write_text("%object 0 4 A\n0 0\n0 1\n0 2\n0 3\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("dmclab: the trace has 4 accesses, 160 bytes in memory, "
+                   "more than this machine's 80 bytes\n")
+
+
 @pytest.mark.parametrize("bits", ["0", "1" + "0" * 400])
 def test_analyze_bits_out_of_range_exit_two(tmp_path, capsys, bits):
     path = tmp_path / "one.dmt"
@@ -265,8 +280,9 @@ def test_analyze_bits_out_of_range_exit_two(tmp_path, capsys, bits):
 
 def test_sweep_model_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
     calls = []
-    model_conv = models.model_conv
-    monkeypatch.setattr(models, "model_conv", lambda *args: calls.append(args) or model_conv(*args))
+    kernel = tracegen.KERNELS["conv"]
+    monkeypatch.setitem(tracegen.KERNELS, "conv", dataclasses.replace(
+        kernel, model=lambda *args: calls.append(args) or kernel.model(*args)))
     code, _, _ = run(capsys, "sweep", "--alg", "conv", "--n", "8..32", "--k", "3",
                      "--out", str(tmp_path / "s.csv"))
     assert code == 0
@@ -498,7 +514,9 @@ def given(flag):
 def refused(capsys, subject, flag, *argv):
     code, out, err = run(capsys, *argv, *given(flag))
     assert (code, out) == (2, "")
-    assert err == f"dmclab: {subject} does not take --{flag.replace('_', '-')}\n"
+    # sweep's --heads is also spelled --h
+    spelled = "--heads/--h" if (argv[0], flag) == ("sweep", "heads") else f"--{flag.replace('_', '-')}"
+    assert err == f"dmclab: {subject} does not take {spelled}\n"
 
 
 @pytest.mark.parametrize("alg,flag", [
@@ -534,6 +552,28 @@ def test_model_refuses_flags_it_does_not_take(capsys, name, flag):
     if flag not in takes])
 def test_advise_refuses_flags_its_kind_does_not_take(capsys, kind, flag):
     refused(capsys, kind, flag, "advise", kind, *ADVISE[kind][0].split())
+
+
+def test_sweep_refuses_heads_typed_as_h_by_both_spellings(tmp_path, capsys):
+    out_path = tmp_path / "s.csv"
+    code, out, err = run(capsys, "sweep", "--alg", "conv", "--n", "8", "--k", "3", "--h", "5",
+                         "--out", str(out_path))
+    assert (code, out, err) == (2, "", "dmclab: conv does not take --heads/--h\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv,both", [
+    ("gen --alg conv --n 8 --h 5 --k 3", "--h"),
+    ("gen --alg conv --n 8 --w 5 --k 3", "--w"),
+    ("model conv --n 64 --h 7 --k 3", "--h"),
+    ("model conv --n 64 --h 7 --w 7 --k 3", "--h, --w"),
+], ids=["gen-h", "gen-w", "model-h", "model-hw"])
+def test_n_is_refused_with_h_or_w(tmp_path, capsys, argv, both):
+    out_path = tmp_path / "t.dmt"
+    extra = ["--out", str(out_path)] if argv.startswith("gen") else []
+    code, out, err = run(capsys, *argv.split(), *extra)
+    assert (code, out, err) == (2, "", f"dmclab: conv does not take --n with {both}\n")
+    assert not out_path.exists()
 
 
 def test_every_base_of_the_refusal_tests_is_valid(tmp_path, capsys):

@@ -19,7 +19,7 @@ from dmclab.core import (
 from dmclab.engine import analyze_trace, stack_distances_fast
 import numpy as np
 
-from dmclab import tracegen
+from dmclab import models, tracegen
 from dmclab.tracegen import (
     BatchParams,
     ConvParams,
@@ -46,15 +46,28 @@ SPECS = [
 
 
 def _small_grid(alg: str) -> list:
-    """Every valid parameter record of `alg` whose fields lie in 1..5."""
+    """Every parameter record of `alg` whose fields lie in 1..5 that a spec accepts."""
     kernel = KERNELS[alg]
     records = []
     for values in itertools.product(range(1, 6), repeat=len(kernel.param_names)):
         try:
-            records.append(kernel.params(*values))
+            records.append(GenSpec(alg, kernel.params(*values)).params)
         except ValidationError:
             pass
     return records
+
+
+@pytest.mark.parametrize("alg", KERNELS)
+def test_spec_keeps_its_kernels_model(alg):
+    kernel = KERNELS[alg]
+    records = _small_grid(alg)
+    assert records
+    for params in records:
+        result = GenSpec(alg, params).result
+        # by repr: a rectangular conv's square terms are nan
+        assert repr(result) == repr(kernel.model(*vars(params).values()))
+        if alg == "fftconv2d":
+            assert result == models.model_fftconv_lower(params.n)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.algorithm)
