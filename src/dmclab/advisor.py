@@ -69,13 +69,6 @@ class ImageSizeCrossover:
     bracket: tuple[int, int]
 
 
-def batched_fraction(n: float, k: int, c: int, x: int) -> float:
-    """Batched cost as a fraction of the unbatched (x=1) cost at image
-    size n.  1.0 at the break-even size; the complement is the relative
-    decrease from batching."""
-    return model_batched(n, k, c, x).total / model_batched(n, k, c, 1).total
-
-
 def crossover_image_size(k: int, c: int, x: int) -> ImageSizeCrossover:
     """Break-even image size between batch size x and no batching.
 
@@ -211,8 +204,12 @@ def orientation_ratio(m: float, pixels: float | None = None, k: int | None = Non
     so with height-to-width ratio m the square costs m**0.25 and the
     landscape m**0.5 times the portrait.
     """
+    if not math.isfinite(m):
+        raise ValidationError("aspect ratio must be finite")
     if m <= 0:
         raise ValidationError("aspect ratio must be positive")
+    if pixels is not None and not math.isfinite(pixels):
+        raise ValidationError("pixel count must be finite")
     if pixels is not None and pixels <= 0:
         raise ValidationError("pixel count must be positive")
     if k is not None and k < 1:

@@ -30,6 +30,7 @@ from dmclab.core import (
     DmcError,
     TraceFormatError,
     ValidationError,
+    check_memory,
     read_dmt,
     write_dmt,
 )
@@ -187,11 +188,6 @@ def _record(result) -> dict:
     return out
 
 
-def _traced(alg: str, desc: str) -> tuple:
-    """A traced kernel's model entry: its record's fields as flags, and its model."""
-    return tracegen.KERNELS[alg].param_names, tracegen.KERNELS[alg].model, desc
-
-
 def _fft_components(n: int) -> dict:
     res = models.model_fft_components(n)
     return {
@@ -224,37 +220,37 @@ def _transformer(layers: int, l: int, d: int, f: int) -> dict:
 
 # name -> (flags, model or evaluation of the flag values, --list help)
 MODELS = {
-    "matmul": _traced("matmul", "m * (n l)^1.5 for an m*n by n*l product (flags: --m --n --l)"),
-    "conv": _traced("conv", "spatial convolution breakdown and asymptotic (flags: --n | --h --w, --k)"),
-    "batchconv": _traced("batchconv", "batched convolution total (flags: --n --k --c --x)"),
-    "im2col": _traced("im2col", "im2col convolution total (flags: --n --k)"),
+    **{alg: (kernel.param_names, kernel.model, kernel.summary)
+       for alg, kernel in tracegen.KERNELS.items() if kernel.summary},
     "blockedconv": (("n", "k", "b"), models.model_blocked_conv,
                     "convolution in b-element cache blocks, idealised /sqrt(b); "
-                    "does not track analyze --block (flags: --n --k --b)"),
-    "fftcomponents": (("n",), _fft_components,
-                      "transform component sums and reuse counts (flags: --n)"),
-    "fftbounds": (("n",), _fft_bounds,
-                  "transform cost bounds 6.4..6.5 n^1.5 sqrt(log2 n) (flags: --n)"),
+                    "does not track analyze --block"),
+    "fftcomponents": (("n",), _fft_components, "transform component sums and reuse counts"),
+    "fftbounds": (("n",), _fft_bounds, "transform cost bounds 6.4..6.5 n^1.5 sqrt(log2 n)"),
     "fftconv": (("n",),
                 lambda n: {"total": models.model_fftconv_lower(n), "note": advisor.FFT_BOUND_NOTE},
-                "transform-based convolution lower bound (flags: --n)"),
-    "attention": (("l", "d", "heads"), _attention,
-                  "single-head and multi-head attention (flags: --l --d --heads)"),
+                "transform-based convolution lower bound"),
+    "attention": (("l", "d", "heads"), _attention, "single-head and multi-head attention"),
     "mha": (("l", "d", "heads"),
             lambda *values: models.model_attention(*values).mha_cost,
-            "multi-head attention cost l d^3 (flags: --l --d --heads)"),
-    "gqa": (("l", "d", "heads", "q"), models.model_gqa,
-            "grouped-query attention breakdown (flags: --l --d --heads --q)"),
+            "multi-head attention cost l d^3"),
+    "gqa": (("l", "d", "heads", "q"), models.model_gqa, "grouped-query attention breakdown"),
     "transformer": (("layers", "l", "d", "f"), _transformer,
-                    "decoder stage table and forward total (flags: --layers --l --d --f)"),
-    "cold": (("m",), models.model_cold, "cold-miss bound m^1.5 (flags: --m)"),
+                    "decoder stage table and forward total"),
+    "cold": (("m",), models.model_cold, "cold-miss bound m^1.5"),
 }
+
+
+def _flag_help(names) -> str:
+    """A model's flags as `--list` prints them; --n stands for --h --w (`_need`)."""
+    spelled = " ".join(f"--{name}" for name in names if name not in ("h", "w"))
+    return "flags: " + ("--n | --h --w, " if "h" in names else "") + spelled
 
 
 def cmd_model(args) -> int:
     if args.list or args.name is None:
-        for name, (_, _, desc) in sorted(MODELS.items()):
-            print(f"{name:15s} {desc}")
+        for name, (flags, _, desc) in sorted(MODELS.items()):
+            print(f"{name:15s} {desc} ({_flag_help(flags)})")
         return EXIT_OK if args.list else EXIT_USAGE
     if args.name not in MODELS:
         print(f"unknown model {args.name!r}; available:", file=sys.stderr)
@@ -347,7 +343,7 @@ def _sweep_points(args) -> tuple[list[dict], list[str]]:
                     f"(> {SWEEP_ACCESS_BUDGET}); pass --force to run it"
                 )
             rule = tracegen.prefix_rule(spec)
-            tracegen.check_memory(tracegen.access_count(rule[0]) if rule else count, ANALYSIS_BYTES)
+            check_memory(tracegen.access_count(rule[0]) if rule else count, ANALYSIS_BYTES)
         for row, spec in zip(rows, specs):
             row["measured"] = measure(spec).reuse_dmd
             total = row["model_total"]

@@ -89,6 +89,16 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def check_memory(count: int, per_access: int = ACCESS_BYTES) -> None:
+    """Raise if `count` accesses, `per_access` bytes each, need more than `physical_memory()`."""
+    memory = physical_memory()
+    if count * per_access > memory:
+        raise ValidationError(
+            f"the trace has {count} accesses, {count * per_access} bytes in memory, "
+            f"more than this machine's {memory} bytes"
+        )
+
+
 def _column(values) -> np.ndarray:
     """`values` as a read-only int64 array.  An int64 numpy array is taken
     over, not copied; any other sequence is read as ``array('q')`` reads

@@ -78,6 +78,7 @@ from dmclab.core import (
     Trace,
     ValidationError,
     build_layout,
+    check_memory,
     scale_granularity,
 )
 from dmclab.models import model_cold as cold_cost
@@ -544,7 +545,7 @@ def analyze_trace(
     then scaling to the element width; refused beyond physical memory."""
     import numpy as np
 
-    tracegen.check_memory(len(trace), ANALYSIS_BYTES)
+    check_memory(len(trace), ANALYSIS_BYTES)
     if engine not in ("fast", "oracle"):
         raise ValidationError(f"unknown engine {engine!r}; expected 'fast' or 'oracle'")
     b = config.block_size

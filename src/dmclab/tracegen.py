@@ -51,7 +51,7 @@ from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from dmclab import models
-from dmclab.core import ACCESS_BYTES, ObjectTable, Trace, ValidationError, physical_memory
+from dmclab.core import ObjectTable, Trace, ValidationError, check_memory
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,8 @@ class Kernel:
     model: the kernel's closed-form model, fields -> its result; it
       raises ValidationError on an invalid set, so it is the rule a
       `GenSpec` checks, and the spec keeps its result.
+    summary: its model's `dmclab model --list` line, the flags derived from
+      `param_names`; None for the FFTs (listed as fftbounds and fftconv).
     sweep_flags: flags a sweep point takes besides the swept size n, each
       a range swept with n; a point's other fields are n (`point`).
     loops: an affine kernel's declaration, fields -> (objects, body),
@@ -139,6 +141,7 @@ class Kernel:
 
     params: type
     model: Callable[..., object]
+    summary: Optional[str] = None
     sweep_flags: tuple[str, ...] = ()
     loops: Optional[Callable[..., tuple]] = None
     prefix: Callable[[object], Optional[object]] = lambda params: None
@@ -158,19 +161,9 @@ class Kernel:
         return self.params(*[flags.get(name, n) for name in self.param_names])
 
 
-def check_memory(count: int, per_access: int = ACCESS_BYTES) -> None:
-    """Raise if `count` accesses, `per_access` bytes each, need more than `physical_memory()`."""
-    memory = physical_memory()
-    if count * per_access > memory:
-        raise ValidationError(
-            f"the trace has {count} accesses, {count * per_access} bytes in memory, "
-            f"more than this machine's {memory} bytes"
-        )
-
-
 def _allocate(count: int) -> tuple:
     """A `count`-access trace's two columns, uninitialised int64 arrays for a
-    generator to place every access in; raises beyond `physical_memory()`."""
+    generator to place every access in; raises beyond physical memory."""
     import numpy as np
 
     check_memory(count)
@@ -488,16 +481,17 @@ def gen_fft_conv2d(n: int) -> Trace:
 
 KERNELS = {
     "matmul": Kernel(
-        MatmulParams, models.model_matmul, (), _matmul_loops,
-        lambda p: MatmulParams(2, p.n, p.l) if p.m > 2 else None),
+        MatmulParams, models.model_matmul, "m * (n l)^1.5 for an m*n by n*l product", (),
+        _matmul_loops, lambda p: MatmulParams(2, p.n, p.l) if p.m > 2 else None),
     "conv": Kernel(
-        ConvParams, models.model_conv, ("k",), _conv_loops,
-        lambda p: ConvParams(p.k + 2, p.w, p.k) if p.h - p.k + 1 > 3 else None,
+        ConvParams, models.model_conv, "spatial convolution breakdown and asymptotic", ("k",),
+        _conv_loops, lambda p: ConvParams(p.k + 2, p.w, p.k) if p.h - p.k + 1 > 3 else None,
         lambda r: {"model_total": r.total, "model_asymptotic": r.asymptotic}),
-    "im2col": Kernel(Im2colParams, models.model_im2col, ("k",), _im2col_loops),
+    "im2col": Kernel(Im2colParams, models.model_im2col, "im2col convolution total", ("k",),
+                     _im2col_loops),
     "batchconv": Kernel(
-        BatchParams, models.model_batched, ("k", "c", "x"), _batchconv_loops,
-        lambda p: BatchParams(p.n, p.k, 2 * p.x, p.x) if p.c // p.x > 2 else None),
+        BatchParams, models.model_batched, "batched convolution total", ("k", "c", "x"),
+        _batchconv_loops, lambda p: BatchParams(p.n, p.k, 2 * p.x, p.x) if p.c // p.x > 2 else None),
     "fft": Kernel(
         FftParams, models.model_fft_bounds,
         columns=lambda r: {"model_lower": r[0], "model_upper": r[1], "model_total": r[0]},

@@ -21,6 +21,7 @@ from dmclab.engine import (
 )
 from dmclab.models import (
     model_attention,
+    model_batched,
     model_conv,
     model_gqa,
     model_im2col,
@@ -29,7 +30,6 @@ from dmclab.models import (
 from dmclab.advisor import (
     FFT_BOUND_NOTE,
     advise_gqa_dim,
-    batched_fraction,
     compare_conv_fft,
     crossover_channels,
     crossover_image_size,
@@ -158,7 +158,7 @@ def test_criterion_05_fft_asymptotic_shape():
 
 def test_criterion_06_batching_numbers():
     n_star = crossover_image_size(3, 10, 10).n_star
-    fraction = batched_fraction(2000, 3, 10, 10)
+    fraction = model_batched(2000, 3, 10, 10).total / model_batched(2000, 3, 10, 1).total
     c_star = crossover_channels(1024, 3)
     ok_n = abs(n_star - 448) / 448 <= 0.02
     ok_f = abs(fraction - 0.47) <= 0.01

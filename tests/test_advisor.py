@@ -7,7 +7,6 @@ import pytest
 from dmclab.advisor import (
     advise_batch,
     advise_gqa_dim,
-    batched_fraction,
     compare_conv_fft,
     crossover_channels,
     crossover_image_size,
@@ -37,10 +36,13 @@ def test_crossover_image_size_matches_break_even():
     lo, hi = res.bracket
     assert hi - lo == 1
     assert lo <= res.n_star <= hi
-    # the continuous curves actually cross there
-    assert batched_fraction(res.n_star, 3, 10, 10) == pytest.approx(1.0, abs=1e-4)
-    assert batched_fraction(lo - 50, 3, 10, 10) > 1.0
-    assert batched_fraction(hi + 50, 3, 10, 10) < 1.0
+    # the continuous curves actually cross there: batched over unbatched cost is 1
+    def fraction(n):
+        return model_batched(n, 3, 10, 10).total / model_batched(n, 3, 10, 1).total
+
+    assert fraction(res.n_star) == pytest.approx(1.0, abs=1e-4)
+    assert fraction(lo - 50) > 1.0
+    assert fraction(hi + 50) < 1.0
 
 
 def test_crossover_image_size_validation():

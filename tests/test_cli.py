@@ -91,6 +91,15 @@ def test_model_evaluation(capsys):
     assert "gqa" in out and "matmul" in out
 
 
+def test_traced_model_entries_come_from_their_kernels():
+    listed = {alg: kernel for alg, kernel in tracegen.KERNELS.items() if kernel.summary}
+    assert set(listed) == {"matmul", "conv", "im2col", "batchconv"}
+    for alg, kernel in listed.items():
+        assert cli.MODELS[alg] == (kernel.param_names, kernel.model, kernel.summary)
+    # --list derives every flag list from the entry's flags
+    assert not any("(flags:" in desc for _, _, desc in cli.MODELS.values())
+
+
 def test_model_exit_codes(capsys):
     code, _, err = run(capsys, "model", "nosuch", "--n", "4")
     assert code == 1
@@ -215,7 +224,7 @@ def test_forced_sweep_beyond_full_trace_memory_measures_its_prefix(tmp_path, cap
     # the full trace's 16,400 accesses exceed this memory; its prefix's 1,640 fit
     from dmclab import core
 
-    monkeypatch.setattr(tracegen, "physical_memory", lambda: 10_000 * core.ACCESS_BYTES)
+    monkeypatch.setattr(core, "physical_memory", lambda: 10_000 * core.ACCESS_BYTES)
     out_path = tmp_path / "s.csv"
     code, _, err = run(capsys, "sweep", "--alg", "matmul", "--n", "20", "--both",
                        "--out", str(out_path))
@@ -260,13 +269,29 @@ def test_analyze_beyond_physical_memory_for_its_analysis_exit_two(tmp_path, caps
     from dmclab import core
 
     monkeypatch.setattr(core, "physical_memory", lambda: 20 * 4)
-    monkeypatch.setattr(tracegen, "physical_memory", lambda: 20 * 4)
     path = tmp_path / "t.dmt"
     path.write_text("%object 0 4 A\n0 0\n0 1\n0 2\n0 3\n")
     code, out, err = run(capsys, "analyze", str(path))
     assert (code, out) == (2, "")
     assert err == ("dmclab: the trace has 4 accesses, 160 bytes in memory, "
                    "more than this machine's 80 bytes\n")
+
+
+def test_one_memory_rule_refuses_gen_analyze_and_measured_sweep(tmp_path, capsys, monkeypatch):
+    # the rule is read from core alone: patching it there reaches every command that checks it
+    from dmclab import core
+
+    trace_path = tmp_path / "t.dmt"
+    assert run(capsys, "gen", "--alg", "conv", "--n", "8", "--k", "3", "--out", str(trace_path))[0] == 0
+    monkeypatch.setattr(core, "physical_memory", lambda: 10 * core.ACCESS_BYTES)
+    for argv in (["gen", "--alg", "conv", "--n", "8", "--k", "3", "--out", str(tmp_path / "u.dmt")],
+                 ["analyze", str(trace_path)],
+                 ["sweep", "--alg", "conv", "--n", "8", "--k", "3", "--measure",
+                  "--out", str(tmp_path / "s.csv")]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "more than this machine's" in err, argv
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["t.dmt"]
 
 
 @pytest.mark.parametrize("bits", ["0", "1" + "0" * 400])
@@ -469,9 +494,21 @@ def test_advise_orientation(capsys):
     ["--pixels", "0", "--k", "3"],
     ["--pixels", "1e6", "--k", "-3"],
     ["--pixels", "1e6", "--k", "0"],
+    ["--pixels", "nan", "--k", "3"],
+    ["--pixels", "inf", "--k", "3"],
+    ["--pixels", "nan"],
+    ["--pixels", "inf"],
 ])
 def test_advise_orientation_bad_pixels_or_k_exit_two(capsys, flags):
     code, out, err = run(capsys, "advise", "orientation", "--m", "2", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("dmclab: ")
+
+
+@pytest.mark.parametrize("m", ["nan", "inf", "-inf"])
+def test_advise_orientation_bad_m_exit_two(capsys, m):
+    # a non-finite m would print bare NaN or Infinity tokens, which are not JSON
+    code, out, err = run(capsys, "advise", "orientation", f"--m={m}", "--pixels", "1e6", "--k", "3")
     assert (code, out) == (2, "")
     assert err.startswith("dmclab: ")
 

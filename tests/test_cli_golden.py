@@ -33,6 +33,29 @@ def _files(tmp: Path) -> dict:
     return files
 
 
+def _refuse(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_golden_json_outputs_are_strict_json():
+    # bare NaN and Infinity tokens are not JSON (RFC 8259); model conv's
+    # square-only terms of a rectangle are NaN, a known red
+    failing = set()
+    for case in CASES:
+        for step in case["steps"]:
+            reports = [e["text"] for name, e in step["files"].items() if name.endswith(".json")]
+            for text in [step["stdout"], *reports]:
+                try:
+                    json.loads(text)
+                except ValueError:
+                    continue  # not JSON output
+                try:
+                    json.loads(text, parse_constant=_refuse)
+                except ValueError:
+                    failing.add(case["name"])
+    assert failing == {"model_conv_1"}
+
+
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_cli_matches_golden(case, tmp_path, capsys):
     root = str(tmp_path)
